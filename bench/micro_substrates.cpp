@@ -1,19 +1,24 @@
 // Google-benchmark micro benchmarks for the substrates: exact arithmetic,
 // dense linear algebra, Lyapunov solvers, LMI iterations and validation
-// engines.  These quantify the building blocks behind Tables I/II.
+// engines.  These quantify the building blocks behind Tables I/II.  The
+// last two time the text paths every warm `verify` request pays: the case
+// file read and the certificate key.
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <sstream>
 
 #include "exact/lyapunov_exact.hpp"
 #include "exact/modular.hpp"
 #include "lyapunov/synthesis.hpp"
 #include "model/reduction.hpp"
+#include "model/serialize.hpp"
 #include "numeric/eigen.hpp"
 #include "numeric/lyapunov.hpp"
 #include "numeric/svd.hpp"
 #include "sdp/lyapunov_lmi.hpp"
 #include "smt/validate.hpp"
+#include "store/cert_key.hpp"
 
 namespace {
 
@@ -230,6 +235,35 @@ void BM_BalancedTruncation(benchmark::State& state) {
     benchmark::DoNotOptimize(model::balanced_truncation(engine, order));
 }
 BENCHMARK(BM_BalancedTruncation)->Arg(3)->Arg(10)->Arg(15);
+
+void BM_RequestKey(benchmark::State& state) {
+  // The closed-loop dimension of the paper's size-3/10/18 plants.
+  store::CertRequest req;
+  req.a = random_hurwitz(static_cast<std::size_t>(state.range(0)), 7);
+  req.method = lyap::Method::EqNum;
+  for (auto _ : state) benchmark::DoNotOptimize(store::request_key(req));
+}
+BENCHMARK(BM_RequestKey)->Arg(6)->Arg(13)->Arg(21);
+
+void BM_ReadCase(benchmark::State& state) {
+  // The float family member whose closed loop has dimension range(0): the
+  // case file a warm request re-reads.
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  std::string text;
+  for (const auto& bm : model::benchmark_family())
+    if (!bm.integer_rounded &&
+        bm.plant.num_states() + bm.plant.num_inputs() == dim)
+      text = model::case_to_string(bm);
+  if (text.empty()) {
+    state.SkipWithError("no family member of this closed-loop dimension");
+    return;
+  }
+  for (auto _ : state) {
+    std::istringstream in{text};
+    benchmark::DoNotOptimize(model::read_case(in));
+  }
+}
+BENCHMARK(BM_ReadCase)->Arg(6)->Arg(13)->Arg(21);
 
 }  // namespace
 

@@ -20,9 +20,14 @@
 //   ...
 //   references <p numbers>
 //
-// Numbers are written with 17 significant digits (round-trip exact for
-// doubles).  Readers accept only finite numbers: "nan"/"inf" tokens raise
-// std::runtime_error instead of silently poisoning the model.
+// Numbers are written with 17 significant digits (printf's %.17g,
+// round-trip exact for doubles).  Readers split the input at whitespace
+// (so CRLF and tab-separated files read like space-separated ones) and
+// accept a number only when the whole token is numeric: "1.5abc", "0x1p3"
+// and a bare "+" are rejected, a leading '+' is accepted.  Both directions
+// are locale-free (numeric/text.hpp).  Readers accept only finite numbers:
+// "nan"/"inf" tokens raise std::runtime_error instead of silently poisoning
+// the model.
 #pragma once
 
 #include <iosfwd>
@@ -34,7 +39,8 @@
 
 namespace spiv::model {
 
-/// Serialize / parse a bare state-space model.
+/// Serialize / parse a bare state-space model.  The readers consume the
+/// whole stream.
 void write_state_space(std::ostream& os, const StateSpace& sys);
 [[nodiscard]] StateSpace read_state_space(std::istream& is);
 

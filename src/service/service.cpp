@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <fstream>
-#include <iomanip>
 #include <istream>
 #include <mutex>
 #include <ostream>
@@ -10,6 +9,7 @@
 
 #include "model/serialize.hpp"
 #include "model/switched_pi.hpp"
+#include "numeric/text.hpp"
 #include "obs/span.hpp"
 
 namespace spiv::service {
@@ -67,9 +67,9 @@ Response error_outcome(const Request& req, const std::string& msg) {
 }
 
 std::string seconds_field(const char* name, double s) {
-  std::ostringstream os;
-  os << " " << name << "=" << std::setprecision(17) << s;
-  return os.str();
+  std::string field = std::string{" "} + name + "=";
+  numeric::text::append_double(field, s);
+  return field;
 }
 
 /// The per-request adapter: load the case, close the loop, hand the matrix

@@ -1,10 +1,10 @@
 #include "store/cert_format.hpp"
 
 #include <cmath>
-#include <iomanip>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 
+#include "numeric/text.hpp"
 #include "store/cert_key.hpp"
 
 namespace spiv::store {
@@ -12,6 +12,8 @@ namespace spiv::store {
 using exact::RatMatrix;
 using exact::Rational;
 using numeric::Matrix;
+using numeric::text::Tokens;
+using numeric::text::append_double;
 
 namespace {
 
@@ -24,86 +26,98 @@ const char* outcome_name(smt::Outcome o) {
   return "?";
 }
 
-smt::Outcome outcome_from_name(const std::string& name) {
+smt::Outcome outcome_from_name(std::string_view name) {
   if (name == "valid") return smt::Outcome::Valid;
   if (name == "invalid") return smt::Outcome::Invalid;
   if (name == "timeout") return smt::Outcome::Timeout;
-  throw std::runtime_error("spiv-cert: unknown outcome '" + name + "'");
+  throw std::runtime_error("spiv-cert: unknown outcome '" + std::string{name} +
+                           "'");
 }
 
-void expect_token(std::istream& is, const std::string& expected) {
-  std::string tok;
-  if (!(is >> tok) || tok != expected)
-    throw std::runtime_error("spiv-cert: expected '" + expected + "', got '" +
-                             tok + "'");
+std::string_view read_token(Tokens& in, const char* what) {
+  const auto tok = in.next();
+  if (!tok) throw std::runtime_error(std::string{"spiv-cert: truncated "} + what);
+  return *tok;
 }
 
-double read_finite(std::istream& is, const char* what) {
-  double x = 0.0;
-  if (!(is >> x))
-    throw std::runtime_error(std::string{"spiv-cert: truncated "} + what);
-  if (!std::isfinite(x))
+void expect_token(Tokens& in, std::string_view expected) {
+  const auto tok = in.next();
+  if (!tok || *tok != expected)
+    throw std::runtime_error("spiv-cert: expected '" + std::string{expected} +
+                             "', got '" + std::string{tok.value_or("")} + "'");
+}
+
+double read_finite(Tokens& in, const char* what) {
+  const auto x = in.next_number<double>();
+  if (!x) throw std::runtime_error(std::string{"spiv-cert: truncated "} + what);
+  if (!std::isfinite(*x))
     throw std::runtime_error(std::string{"spiv-cert: non-finite "} + what);
-  return x;
+  return *x;
 }
 
-void write_rational(std::ostream& os, const Rational& r) {
-  os << r.num().to_string() << "/" << r.den().to_string();
+std::size_t read_size(std::string_view tok, const char* what) {
+  const auto n = numeric::text::parse_number<std::size_t>(tok);
+  if (!n)
+    throw std::runtime_error(std::string{"spiv-cert: bad "} + what + " '" +
+                             std::string{tok} + "'");
+  return *n;
 }
 
-Rational read_rational(std::istream& is) {
-  std::string tok;
-  if (!(is >> tok)) throw std::runtime_error("spiv-cert: truncated rational");
+void append_rational(std::string& out, const Rational& r) {
+  out += r.num().to_string();
+  out += '/';
+  out += r.den().to_string();
+}
+
+Rational read_rational(Tokens& in) {
+  const std::string_view tok = read_token(in, "rational");
   const std::size_t slash = tok.find('/');
-  if (slash == std::string::npos || slash == 0 || slash + 1 == tok.size())
-    throw std::runtime_error("spiv-cert: malformed rational '" + tok + "'");
+  if (slash == std::string_view::npos || slash == 0 || slash + 1 == tok.size())
+    throw std::runtime_error("spiv-cert: malformed rational '" +
+                             std::string{tok} + "'");
   try {
-    return Rational{exact::BigInt{std::string_view{tok}.substr(0, slash)},
-                    exact::BigInt{std::string_view{tok}.substr(slash + 1)}};
+    return Rational{exact::BigInt{tok.substr(0, slash)},
+                    exact::BigInt{tok.substr(slash + 1)}};
   } catch (const std::exception&) {
-    throw std::runtime_error("spiv-cert: malformed rational '" + tok + "'");
+    throw std::runtime_error("spiv-cert: malformed rational '" +
+                             std::string{tok} + "'");
   }
 }
 
-void write_verdict(std::ostream& os, const char* label,
-                   const smt::Verdict& v) {
-  os << label << " " << outcome_name(v.outcome) << " seconds "
-     << std::setprecision(17) << v.seconds << " witness ";
+void append_verdict(std::string& out, const char* label,
+                    const smt::Verdict& v) {
+  out += label;
+  out += ' ';
+  out += outcome_name(v.outcome);
+  out += " seconds ";
+  append_double(out, v.seconds);
+  out += " witness ";
   if (!v.witness) {
-    os << "none\n";
+    out += "none\n";
     return;
   }
-  os << v.witness->size() << "\n";
+  out += std::to_string(v.witness->size());
+  out += '\n';
   for (std::size_t i = 0; i < v.witness->size(); ++i) {
-    write_rational(os, (*v.witness)[i]);
-    os << (i + 1 == v.witness->size() ? "" : " ");
+    if (i != 0) out += ' ';
+    append_rational(out, (*v.witness)[i]);
   }
-  if (!v.witness->empty()) os << "\n";
+  if (!v.witness->empty()) out += '\n';
 }
 
-smt::Verdict read_verdict(std::istream& is, const std::string& label) {
-  expect_token(is, label);
-  std::string outcome;
-  if (!(is >> outcome))
-    throw std::runtime_error("spiv-cert: truncated verdict");
+smt::Verdict read_verdict(Tokens& in, std::string_view label) {
+  expect_token(in, label);
   smt::Verdict v;
-  v.outcome = outcome_from_name(outcome);
-  expect_token(is, "seconds");
-  v.seconds = read_finite(is, "verdict seconds");
-  expect_token(is, "witness");
-  std::string witness;
-  if (!(is >> witness))
-    throw std::runtime_error("spiv-cert: truncated witness header");
+  v.outcome = outcome_from_name(read_token(in, "verdict"));
+  expect_token(in, "seconds");
+  v.seconds = read_finite(in, "verdict seconds");
+  expect_token(in, "witness");
+  const std::string_view witness = read_token(in, "witness header");
   if (witness != "none") {
-    std::size_t n = 0;
-    try {
-      n = std::stoul(witness);
-    } catch (const std::exception&) {
-      throw std::runtime_error("spiv-cert: bad witness size '" + witness + "'");
-    }
+    const std::size_t n = read_size(witness, "witness size");
     std::vector<Rational> w;
     w.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) w.push_back(read_rational(is));
+    for (std::size_t i = 0; i < n; ++i) w.push_back(read_rational(in));
     v.witness = std::move(w);
   }
   return v;
@@ -112,40 +126,35 @@ smt::Verdict read_verdict(std::istream& is, const std::string& label) {
 }  // namespace
 
 std::string cert_to_string(const std::string& key, const CertRecord& record) {
-  std::ostringstream os;
-  os << "spiv-cert v1\n";
-  os << "key " << key << "\n";
-  os << "method " << lyap::to_string(record.candidate.method) << "\n";
-  os << "synth_seconds " << std::setprecision(17)
-     << record.candidate.synth_seconds << "\n";
+  std::string out = "spiv-cert v1\nkey " + key + "\nmethod " +
+                    lyap::to_string(record.candidate.method) +
+                    "\nsynth_seconds ";
+  append_double(out, record.candidate.synth_seconds);
   const Matrix& p = record.candidate.p;
-  os << "p " << p.rows() << " " << p.cols() << "\n";
-  os << std::setprecision(17);
-  for (std::size_t i = 0; i < p.rows(); ++i) {
-    for (std::size_t j = 0; j < p.cols(); ++j)
-      os << p(i, j) << (j + 1 == p.cols() ? "" : " ");
-    os << "\n";
-  }
+  out += "\np " + std::to_string(p.rows()) + " " + std::to_string(p.cols()) +
+         "\n";
+  numeric::text::append_matrix(out, p);
   if (record.candidate.exact_p) {
     const RatMatrix& ep = *record.candidate.exact_p;
-    os << "exact_p " << ep.rows() << " " << ep.cols() << "\n";
+    out += "exact_p " + std::to_string(ep.rows()) + " " +
+           std::to_string(ep.cols()) + "\n";
     for (std::size_t i = 0; i < ep.rows(); ++i) {
       for (std::size_t j = 0; j < ep.cols(); ++j) {
-        write_rational(os, ep(i, j));
-        os << (j + 1 == ep.cols() ? "" : " ");
+        if (j != 0) out += ' ';
+        append_rational(out, ep(i, j));
       }
-      os << "\n";
+      out += '\n';
     }
   } else {
-    os << "exact_p none\n";
+    out += "exact_p none\n";
   }
-  write_verdict(os, "positivity", record.validation.positivity);
-  write_verdict(os, "decrease", record.validation.decrease);
-  std::string body = os.str();
-  std::ostringstream sum;
-  sum << "checksum " << std::hex << std::setfill('0') << std::setw(16)
-      << fnv1a64(body) << "\n";
-  return body + sum.str();
+  append_verdict(out, "positivity", record.validation.positivity);
+  append_verdict(out, "decrease", record.validation.decrease);
+  const std::uint64_t sum = fnv1a64(out);
+  out += "checksum ";
+  numeric::text::append_hex64(out, sum);
+  out += '\n';
+  return out;
 }
 
 CertRecord cert_from_string(const std::string& text,
@@ -154,65 +163,57 @@ CertRecord cert_from_string(const std::string& text,
   const std::size_t sum_pos = text.rfind("checksum ");
   if (sum_pos == std::string::npos || (sum_pos > 0 && text[sum_pos - 1] != '\n'))
     throw std::runtime_error("spiv-cert: missing checksum line");
-  const std::string body = text.substr(0, sum_pos);
-  std::istringstream sum_line{text.substr(sum_pos)};
-  std::string tok, sum_hex;
-  if (!(sum_line >> tok >> sum_hex) || sum_hex.size() != 16)
+  const std::string_view body = std::string_view{text}.substr(0, sum_pos);
+  Tokens sum_line{std::string_view{text}.substr(sum_pos)};
+  const auto sum_tok = sum_line.next();
+  const auto sum_hex = sum_line.next();
+  if (!sum_tok || !sum_hex || sum_hex->size() != 16)
     throw std::runtime_error("spiv-cert: malformed checksum line");
-  std::ostringstream expect;
-  expect << std::hex << std::setfill('0') << std::setw(16) << fnv1a64(body);
-  if (sum_hex != expect.str())
-    throw std::runtime_error("spiv-cert: checksum mismatch");
+  std::string expect;
+  numeric::text::append_hex64(expect, fnv1a64(body));
+  if (*sum_hex != expect) throw std::runtime_error("spiv-cert: checksum mismatch");
 
-  std::istringstream is{body};
-  std::string magic, version;
-  if (!(is >> magic >> version) || magic != "spiv-cert" || version != "v1")
+  Tokens in{body};
+  const auto magic = in.next();
+  const auto version = in.next();
+  if (!magic || !version || *magic != "spiv-cert" || *version != "v1")
     throw std::runtime_error("spiv-cert: not a spiv-cert v1 stream");
-  expect_token(is, "key");
-  std::string key;
-  if (!(is >> key)) throw std::runtime_error("spiv-cert: truncated key");
+  expect_token(in, "key");
+  const std::string_view key = read_token(in, "key");
   if (!expected_key.empty() && key != expected_key)
     throw std::runtime_error("spiv-cert: key mismatch (hash collision or "
                              "misplaced file)");
   CertRecord record;
-  expect_token(is, "method");
-  std::string method;
-  if (!(is >> method)) throw std::runtime_error("spiv-cert: truncated method");
+  expect_token(in, "method");
+  const std::string method{read_token(in, "method")};
   const auto m = lyap::method_from_string(method);
   if (!m) throw std::runtime_error("spiv-cert: unknown method '" + method + "'");
   record.candidate.method = *m;
-  expect_token(is, "synth_seconds");
-  record.candidate.synth_seconds = read_finite(is, "synth_seconds");
+  expect_token(in, "synth_seconds");
+  record.candidate.synth_seconds = read_finite(in, "synth_seconds");
 
-  expect_token(is, "p");
-  std::size_t rows = 0, cols = 0;
-  if (!(is >> rows >> cols))
-    throw std::runtime_error("spiv-cert: bad p header");
-  record.candidate.p = Matrix{rows, cols};
-  for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < cols; ++j)
-      record.candidate.p(i, j) = read_finite(is, "p entry");
+  expect_token(in, "p");
+  const auto rows = in.next_number<std::size_t>();
+  const auto cols = in.next_number<std::size_t>();
+  if (!rows || !cols) throw std::runtime_error("spiv-cert: bad p header");
+  record.candidate.p = Matrix{*rows, *cols};
+  for (std::size_t i = 0; i < *rows; ++i)
+    for (std::size_t j = 0; j < *cols; ++j)
+      record.candidate.p(i, j) = read_finite(in, "p entry");
 
-  expect_token(is, "exact_p");
-  std::string ep_header;
-  if (!(is >> ep_header))
-    throw std::runtime_error("spiv-cert: truncated exact_p header");
+  expect_token(in, "exact_p");
+  const std::string_view ep_header = read_token(in, "exact_p header");
   if (ep_header != "none") {
-    std::size_t ep_rows = 0, ep_cols = 0;
-    try {
-      ep_rows = std::stoul(ep_header);
-    } catch (const std::exception&) {
-      throw std::runtime_error("spiv-cert: bad exact_p header");
-    }
-    if (!(is >> ep_cols))
-      throw std::runtime_error("spiv-cert: bad exact_p header");
-    RatMatrix ep{ep_rows, ep_cols};
+    const std::size_t ep_rows = read_size(ep_header, "exact_p header");
+    const auto ep_cols = in.next_number<std::size_t>();
+    if (!ep_cols) throw std::runtime_error("spiv-cert: bad exact_p header");
+    RatMatrix ep{ep_rows, *ep_cols};
     for (std::size_t i = 0; i < ep_rows; ++i)
-      for (std::size_t j = 0; j < ep_cols; ++j) ep(i, j) = read_rational(is);
+      for (std::size_t j = 0; j < *ep_cols; ++j) ep(i, j) = read_rational(in);
     record.candidate.exact_p = std::move(ep);
   }
-  record.validation.positivity = read_verdict(is, "positivity");
-  record.validation.decrease = read_verdict(is, "decrease");
+  record.validation.positivity = read_verdict(in, "positivity");
+  record.validation.decrease = read_verdict(in, "decrease");
   return record;
 }
 

@@ -10,11 +10,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <limits>
 #include <sstream>
 #include <thread>
 
@@ -145,6 +147,49 @@ TEST(CertKey, NonLmiMethodsShareCertificatesAcrossSynthesisParams) {
   EXPECT_EQ(request_key(req), key);
 }
 
+TEST(CertKey, GoldenBytesAndKeysAreStable) {
+  // Pinned literals: certificates already on disk are addressed by these
+  // keys, so the canonical bytes (17-significant-digit %.17g doubles) and
+  // the two FNV-1a lanes must never drift.  The entries cover signed zero,
+  // non-representable decimals, integers, the exponent switch on both
+  // sides, the smallest subnormal and DBL_MAX.
+  CertRequest eq;
+  eq.a = numeric::Matrix{
+      {-0.0, 0.1, 3.0},
+      {1e21, 1e-5, 123456789012345680.0},
+      {std::numeric_limits<double>::denorm_min(), DBL_MAX, -1.0 / 3.0}};
+  eq.method = lyap::Method::EqSmt;
+  eq.engine = smt::Engine::Sylvester;
+  eq.digits = 10;
+  EXPECT_EQ(canonical_request_bytes(eq),
+            "spiv-req v2\n"
+            "method eq-smt backend - engine sylvester digits 10\n"
+            "a 3 3\n"
+            "-0 0.10000000000000001 3\n"
+            "1e+21 1.0000000000000001e-05 1.2345678901234568e+17\n"
+            "4.9406564584124654e-324 1.7976931348623157e+308 "
+            "-0.33333333333333331\n");
+  EXPECT_EQ(request_key(eq), "73397793b9a051c5632dad2ea27c06f6");
+
+  CertRequest lmi;
+  lmi.a = numeric::Matrix{{-2.0, 1.0}, {0.25, -3.0}};
+  lmi.method = lyap::Method::LmiAlphaPlus;
+  lmi.backend = sdp::Backend::FastInteriorPoint;
+  lmi.engine = smt::Engine::Ldlt;
+  lmi.digits = 6;
+  lmi.alpha = 0.05;
+  lmi.nu = 1e-3;
+  lmi.kappa = 1.0;
+  EXPECT_EQ(canonical_request_bytes(lmi),
+            "spiv-req v2\n"
+            "method LMIa+ backend fast-ipm engine ldlt digits 6\n"
+            "alpha 0.050000000000000003 nu 0.001 kappa 1\n"
+            "a 2 2\n"
+            "-2 1\n"
+            "0.25 -3\n");
+  EXPECT_EQ(request_key(lmi), "e385c1dae4761f7916d6ae6a3fb96b7c");
+}
+
 // -------------------------------------------------------------- format
 
 TEST(CertFormat, ExactRoundTripIncludingRationalExactP) {
@@ -164,6 +209,30 @@ TEST(CertFormat, RoundTripWithoutOptionalFields) {
   const std::string text = cert_to_string("k", rec);
   const CertRecord back = cert_from_string(text, "k");
   expect_records_equal(rec, back);
+}
+
+TEST(CertFormat, GoldenBytesAndChecksumAreStable) {
+  // Pinned literal: certificates already on disk must keep parsing and
+  // their checksums must keep matching.
+  const std::string key = "0123456789abcdef0123456789abcdef";
+  const std::string text = cert_to_string(key, sample_record());
+  EXPECT_EQ(text,
+            "spiv-cert v1\n"
+            "key 0123456789abcdef0123456789abcdef\n"
+            "method eq-smt\n"
+            "synth_seconds 0.012345678901234567\n"
+            "p 2 2\n"
+            "0.30000000000000004 -1.0000000000000001e-17\n"
+            "-1.0000000000000001e-17 12345.678901234567\n"
+            "exact_p 2 2\n"
+            "17636684144620811271604938270/141093474442680776015696649031 "
+            "-7/3\n"
+            "-7/3 3602879701896397/36028797018963968\n"
+            "positivity valid seconds 0.001220703125 witness none\n"
+            "decrease invalid seconds 7.0000000000000007e-05 witness 2\n"
+            "1/1 -355/113\n"
+            "checksum 51b59245ccd147a6\n");
+  expect_records_equal(sample_record(), cert_from_string(text, key));
 }
 
 TEST(CertFormat, RejectsDamage) {
