@@ -11,6 +11,8 @@
 //                             (default: hardware_concurrency; 1 = serial;
 //                             every non-timing output is identical for any
 //                             value, see core/parallel.hpp)
+// A malformed size list or budget warns once on stderr and reads as the
+// default.
 //
 // Every harness additionally accepts `--metrics-out FILE`: at exit it
 // writes the process's metrics registry (per-stage latency histograms,
@@ -22,9 +24,12 @@
 
 #include <cstring>
 #include <iostream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/env.hpp"
 #include "core/experiments.hpp"
@@ -59,9 +64,35 @@ inline bool env_present(const char* name) {
   return v && *v;
 }
 
-inline double env_double(const char* name, double fallback) {
+/// One stderr line per variable: the helpers below are called once per
+/// harness at startup (table2 reads SPIV_SIZES twice), on the main thread.
+inline void warn_ignored(const char* name, const char* value,
+                         const char* expected) {
+  static std::set<std::string> warned;
+  if (warned.insert(name).second)
+    std::cerr << "bench: ignoring invalid " << name << "='" << value << "' ("
+              << expected << ")\n";
+}
+
+/// $name as a non-negative number of seconds; unset or empty reads as
+/// `fallback`, a malformed value warns once and reads as `fallback`.
+inline double env_seconds(const char* name, double fallback) {
   const char* v = core::env::raw(name);
-  return v ? std::atof(v) : fallback;
+  if (!v || !*v) return fallback;
+  if (const std::optional<double> seconds = core::env::parse_seconds(v))
+    return *seconds;
+  warn_ignored(name, v, "must be a non-negative number of seconds");
+  return fallback;
+}
+
+/// $name as a positive integer, with env_seconds' fallback rules.
+inline std::size_t env_count(const char* name, std::size_t fallback) {
+  const char* v = core::env::raw(name);
+  if (!v || !*v) return fallback;
+  if (const std::optional<std::size_t> n = core::env::parse_positive(v))
+    return *n;
+  warn_ignored(name, v, "must be a positive integer");
+  return fallback;
 }
 
 inline bool env_flag(const char* name) {
@@ -69,16 +100,33 @@ inline bool env_flag(const char* name) {
   return v && *v && std::string{v} != "0";
 }
 
-inline std::vector<std::size_t> env_sizes(
-    const std::vector<std::size_t>& fallback) {
-  const char* v = core::env::raw("SPIV_SIZES");
+/// $name as a comma-separated list of positive integers ("3,5,10"; empty
+/// tokens are skipped).  One malformed token rejects the whole value, with
+/// env_seconds' fallback rules.
+inline std::vector<std::size_t> env_size_list(
+    const char* name, const std::vector<std::size_t>& fallback) {
+  const char* v = core::env::raw(name);
   if (!v) return fallback;
   std::vector<std::size_t> out;
   std::stringstream ss{v};
   std::string tok;
-  while (std::getline(ss, tok, ','))
-    if (!tok.empty()) out.push_back(std::stoul(tok));
+  while (std::getline(ss, tok, ',')) {
+    if (tok.empty()) continue;
+    const std::optional<std::size_t> n = core::env::parse_positive(tok.c_str());
+    if (!n) {
+      warn_ignored(name, v, "must be a comma-separated list of positive "
+                            "integers");
+      return fallback;
+    }
+    out.push_back(*n);
+  }
   return out.empty() ? fallback : out;
+}
+
+/// $SPIV_SIZES: the benchmark sizes to run.
+inline std::vector<std::size_t> env_sizes(
+    const std::vector<std::size_t>& fallback) {
+  return env_size_list("SPIV_SIZES", fallback);
 }
 
 /// Parse `--metrics-out FILE` from a harness command line; empty when the
@@ -120,9 +168,9 @@ inline core::ExperimentConfig make_config(double default_synth_timeout,
   }
   config.sizes = env_sizes(config.sizes);
   config.synth_timeout_seconds =
-      env_double("SPIV_SYNTH_TIMEOUT", config.synth_timeout_seconds);
+      env_seconds("SPIV_SYNTH_TIMEOUT", config.synth_timeout_seconds);
   config.validate_timeout_seconds =
-      env_double("SPIV_VALIDATE_TIMEOUT", config.validate_timeout_seconds);
+      env_seconds("SPIV_VALIDATE_TIMEOUT", config.validate_timeout_seconds);
   config.verbose = env_flag("SPIV_VERBOSE");
   return config;
 }

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
 namespace spiv::core::env {
@@ -11,8 +10,6 @@ namespace spiv::core::env {
 namespace {
 
 std::atomic<bool> g_warned_jobs{false};
-std::atomic<bool> g_warned_exact_solver{false};
-std::atomic<bool> g_warned_modular_checkpoint{false};
 std::atomic<bool> g_warned_negative_ttl{false};
 
 /// One stderr line per process per variable: the harnesses resolve their
@@ -44,6 +41,20 @@ std::optional<std::size_t> parse_positive(const char* text) {
   return static_cast<std::size_t>(v);
 }
 
+std::optional<double> parse_seconds(const char* text) {
+  if (!text) return std::nullopt;
+  // Same full-parse discipline as parse_positive: leading whitespace,
+  // trailing junk, negatives, and non-finite values all reject (strtod
+  // itself would skip leading whitespace and accept "inf").
+  if ((*text < '0' || *text > '9') && *text != '.') return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const double seconds = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || seconds >= 1e18)
+    return std::nullopt;
+  return seconds;
+}
+
 std::optional<std::size_t> jobs() {
   const char* v = raw("SPIV_JOBS");
   if (!v || !*v) return std::nullopt;
@@ -58,43 +69,10 @@ std::string cache_dir() { return string_or_empty("SPIV_CACHE_DIR"); }
 
 std::string trace_path() { return string_or_empty("SPIV_TRACE"); }
 
-ExactSolver exact_solver() {
-  const char* v = raw("SPIV_EXACT_SOLVER");
-  if (!v || !*v) return ExactSolver::Auto;
-  if (!std::strcmp(v, "bareiss")) return ExactSolver::Bareiss;
-  if (!std::strcmp(v, "modular")) return ExactSolver::Modular;
-  if (!std::strcmp(v, "auto")) return ExactSolver::Auto;
-  warn_once(g_warned_exact_solver,
-            "ignoring invalid SPIV_EXACT_SOLVER='" + std::string{v} +
-                "' (expected bareiss|modular|auto); using auto");
-  return ExactSolver::Auto;
-}
-
-std::optional<std::size_t> modular_checkpoint() {
-  const char* v = raw("SPIV_MODULAR_CHECKPOINT");
-  if (!v || !*v) return std::nullopt;
-  if (const std::optional<std::size_t> parsed = parse_positive(v))
-    return parsed;
-  warn_once(g_warned_modular_checkpoint,
-            "ignoring invalid SPIV_MODULAR_CHECKPOINT='" + std::string{v} +
-                "' (must be a positive integer)");
-  return std::nullopt;
-}
-
 std::optional<double> negative_ttl() {
   const char* v = raw("SPIV_NEG_TTL");
   if (!v || !*v) return std::nullopt;
-  // Same full-parse discipline as the integer knobs: leading whitespace,
-  // trailing junk, negatives, and non-finite values all reject (strtod
-  // itself would skip leading whitespace and accept "inf").
-  if ((*v >= '0' && *v <= '9') || *v == '.') {
-    char* end = nullptr;
-    errno = 0;
-    const double seconds = std::strtod(v, &end);
-    if (end != v && *end == '\0' && errno == 0 && seconds >= 0.0 &&
-        seconds < 1e18)
-      return seconds;
-  }
+  if (const std::optional<double> seconds = parse_seconds(v)) return seconds;
   warn_once(g_warned_negative_ttl,
             "ignoring invalid SPIV_NEG_TTL='" + std::string{v} +
                 "' (must be a non-negative number of seconds)");
@@ -103,8 +81,6 @@ std::optional<double> negative_ttl() {
 
 void rearm_warnings_for_testing() {
   g_warned_jobs.store(false);
-  g_warned_exact_solver.store(false);
-  g_warned_modular_checkpoint.store(false);
   g_warned_negative_ttl.store(false);
 }
 

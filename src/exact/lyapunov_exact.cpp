@@ -86,29 +86,17 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
 
 /// Multi-modular solve of op X = B (any number of RHS columns — the
 /// per-prime elimination is shared across all of them).  nullopt means
-/// "use Bareiss": the strategy didn't select modular, the system looks
-/// singular, or reconstruction failed.  Only genuine failures count as
-/// fallbacks.
-std::optional<RatMatrix> try_modular_solve(
-    const RatMatrix& op, const RatMatrix& b, const Deadline& deadline,
-    std::optional<ExactSolverStrategy> strategy) {
-  if (!modular_preferred(op.rows(), strategy.value_or(exact_solver_strategy())))
+/// "use Bareiss": the caller asked for it, the system looks singular, or
+/// reconstruction failed.  Only genuine failures count as fallbacks.
+std::optional<RatMatrix> try_modular_solve(const RatMatrix& op,
+                                           const RatMatrix& b,
+                                           const Deadline& deadline,
+                                           ExactSolverStrategy strategy) {
+  if (strategy != ExactSolverStrategy::Modular || op.rows() == 0)
     return std::nullopt;
   auto x = solve_rational_modular(op, b, deadline);
   if (!x) fallback_counter().add();
   return x;
-}
-
-std::optional<std::vector<Rational>> try_modular_solve(
-    const RatMatrix& op, const std::vector<Rational>& rhs,
-    const Deadline& deadline, std::optional<ExactSolverStrategy> strategy) {
-  RatMatrix b{op.rows(), 1};
-  for (std::size_t i = 0; i < rhs.size(); ++i) b(i, 0) = rhs[i];
-  auto x = try_modular_solve(op, b, deadline, strategy);
-  if (!x) return std::nullopt;
-  std::vector<Rational> out(op.rows());
-  for (std::size_t i = 0; i < out.size(); ++i) out[i] = std::move((*x)(i, 0));
-  return out;
 }
 
 }  // namespace
@@ -181,7 +169,7 @@ RatMatrix lyapunov_operator_vech(const RatMatrix& a, const Deadline& deadline) {
 
 std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
     const RatMatrix& a, const std::vector<RatMatrix>& qs,
-    const Deadline& deadline, std::optional<ExactSolverStrategy> strategy) {
+    const Deadline& deadline, ExactSolverStrategy strategy) {
   if (!a.is_square())
     throw std::invalid_argument("solve_lyapunov_exact: A must be square");
   for (const RatMatrix& q : qs) {
@@ -240,7 +228,7 @@ std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
 
 std::optional<RatMatrix> solve_lyapunov_exact(
     const RatMatrix& a, const RatMatrix& q, const Deadline& deadline,
-    std::optional<ExactSolverStrategy> strategy) {
+    ExactSolverStrategy strategy) {
   auto ps = solve_lyapunov_exact_multi(a, {q}, deadline, strategy);
   return std::move(ps.front());
 }
@@ -248,38 +236,6 @@ std::optional<RatMatrix> solve_lyapunov_exact(
 RatMatrix lyapunov_residual(const RatMatrix& a, const RatMatrix& p,
                             const RatMatrix& q) {
   return a.transposed() * p + p * a + q;
-}
-
-std::optional<RatMatrix> solve_lyapunov_exact_full_kronecker(
-    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline,
-    std::optional<ExactSolverStrategy> strategy) {
-  if (!a.is_square() || !q.is_square() || a.rows() != q.rows())
-    throw std::invalid_argument("solve_lyapunov_exact_full_kronecker: shape");
-  const std::size_t n = a.rows();
-  const RatMatrix at = a.transposed();
-  // vec(A^T P) = (I (x) A^T) vec(P); vec(P A) = (A^T (x) I) vec(P),
-  // with vec() stacking columns.
-  RatMatrix op = kronecker(RatMatrix::identity(n), at) +
-                 kronecker(at, RatMatrix::identity(n));
-  std::vector<Rational> rhs(n * n);
-  for (std::size_t col = 0; col < n; ++col)
-    for (std::size_t row = 0; row < n; ++row)
-      rhs[col * n + row] = -q(row, col);
-  const auto unstack = [n](const std::vector<Rational>& v) {
-    RatMatrix p{n, n};
-    for (std::size_t col = 0; col < n; ++col)
-      for (std::size_t row = 0; row < n; ++row)
-        p(row, col) = v[col * n + row];
-    return p;
-  };
-  if (auto xm = try_modular_solve(op, rhs, deadline, strategy)) {
-    RatMatrix p = unstack(*xm).symmetrized();
-    if (lyapunov_residual_is_zero(a, p, q, deadline)) return p;
-    fallback_counter().add();
-  }
-  auto x = op.solve(rhs, deadline);
-  if (!x) return std::nullopt;
-  return unstack(*x).symmetrized();
 }
 
 }  // namespace spiv::exact

@@ -3,10 +3,9 @@
 //
 // This is the paper's `eq-smt` synthesis method: the equation is turned into
 // a linear system over the n(n+1)/2 distinct entries of the symmetric P
-// (the "vech" parameterization) and solved with exact rational Gaussian
-// elimination.  Coefficient growth makes this intrinsically expensive; at
-// the paper's sizes 15/18 it exceeds any practical budget, which we surface
-// via the cooperative Deadline.
+// (the "vech" parameterization) and solved exactly by the multi-modular
+// solver (exact/modular.hpp), with fraction-free Bareiss elimination as
+// its fallback.  Budgets are enforced through the cooperative Deadline.
 #pragma once
 
 #include <optional>
@@ -36,11 +35,12 @@ namespace spiv::exact {
 /// Solve A^T P + P A + Q = 0 exactly for symmetric P.
 /// Q must be symmetric.  Returns nullopt when the Lyapunov operator is
 /// singular (i.e. A and -A share an eigenvalue).  Throws TimeoutError when
-/// the deadline expires mid-solve.  `strategy` overrides the process-wide
-/// $SPIV_EXACT_SOLVER selection (verify::VerifyContext threads it through).
+/// the deadline expires mid-solve.  The default multi-modular path checks
+/// its result exactly and falls back to Bareiss on any failure; `Bareiss`
+/// skips straight to that fallback.
 [[nodiscard]] std::optional<RatMatrix> solve_lyapunov_exact(
     const RatMatrix& a, const RatMatrix& q, const Deadline& deadline = {},
-    std::optional<ExactSolverStrategy> strategy = {});
+    ExactSolverStrategy strategy = ExactSolverStrategy::Modular);
 
 /// Batched variant: solve A^T P_c + P_c A + Q_c = 0 for every Q in `qs`
 /// against the SAME A.  The Lyapunov operator is assembled once and all
@@ -51,20 +51,11 @@ namespace spiv::exact {
 [[nodiscard]] std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
     const RatMatrix& a, const std::vector<RatMatrix>& qs,
     const Deadline& deadline = {},
-    std::optional<ExactSolverStrategy> strategy = {});
+    ExactSolverStrategy strategy = ExactSolverStrategy::Modular);
 
 /// Residual A^T P + P A + Q (all-zero iff P solves the equation).
 [[nodiscard]] RatMatrix lyapunov_residual(const RatMatrix& a,
                                           const RatMatrix& p,
                                           const RatMatrix& q);
-
-/// Ablation variant of solve_lyapunov_exact: ignores symmetry and solves
-/// the full n^2-unknown Kronecker system (I (x) A^T + A^T (x) I) vec(P) =
-/// -vec(Q).  Roughly 8x the elimination work of the vech formulation —
-/// kept to quantify what the symmetric parameterization buys
-/// (see bench/ablation_exact_solvers).
-[[nodiscard]] std::optional<RatMatrix> solve_lyapunov_exact_full_kronecker(
-    const RatMatrix& a, const RatMatrix& q, const Deadline& deadline = {},
-    std::optional<ExactSolverStrategy> strategy = {});
 
 }  // namespace spiv::exact

@@ -371,18 +371,4 @@ RatMatrix rat_matrix_from_doubles(const double* data, std::size_t rows,
   return out;
 }
 
-RatMatrix kronecker(const RatMatrix& a, const RatMatrix& b) {
-  RatMatrix out{a.rows() * b.rows(), a.cols() * b.cols()};
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      if (a(i, j).is_zero()) continue;
-      for (std::size_t k = 0; k < b.rows(); ++k)
-        for (std::size_t l = 0; l < b.cols(); ++l) {
-          if (b(k, l).is_zero()) continue;
-          out(i * b.rows() + k, j * b.cols() + l) = a(i, j) * b(k, l);
-        }
-    }
-  return out;
-}
-
 }  // namespace spiv::exact

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "core/env.hpp"
 #include "core/parallel.hpp"
 #include "exact/int_system.hpp"
 #include "obs/metrics.hpp"
@@ -428,28 +427,6 @@ std::uint64_t modular_prime(std::size_t index) {
   return primes[index];
 }
 
-// --------------------------------------------------------------- strategy
-
-ExactSolverStrategy exact_solver_strategy() {
-  // Parsing and the warn-once diagnostic live in core::env, next to every
-  // other SPIV_* variable; this is just the enum translation.
-  switch (core::env::exact_solver()) {
-    case core::env::ExactSolver::Bareiss: return ExactSolverStrategy::Bareiss;
-    case core::env::ExactSolver::Modular: return ExactSolverStrategy::Modular;
-    case core::env::ExactSolver::Auto: break;
-  }
-  return ExactSolverStrategy::Auto;
-}
-
-bool modular_preferred(std::size_t dim, ExactSolverStrategy strategy) {
-  switch (strategy) {
-    case ExactSolverStrategy::Bareiss: return false;
-    case ExactSolverStrategy::Modular: return dim > 0;
-    case ExactSolverStrategy::Auto: return dim >= 6;
-  }
-  return false;
-}
-
 // ---------------------------------------------------------- reconstruction
 
 std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
@@ -545,10 +522,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   const std::size_t budget_bits = sys.solve_budget_bits;
   const std::size_t jobs = core::resolve_jobs(options.jobs);
   const std::size_t batch = std::max<std::size_t>(jobs, 8);
-  std::size_t checkpoint =
-      options.checkpoint != 0
-          ? options.checkpoint
-          : core::env::modular_checkpoint().value_or(4);
+  std::size_t checkpoint = options.checkpoint;
 
   const std::size_t entries = n * k;
   std::vector<BigInt> xs(entries);  // CRT images of the solution entries

@@ -32,25 +32,13 @@
 
 namespace spiv::exact {
 
-/// Which exact solver backs solve_lyapunov_exact (and the modular
-/// determinant used by the charpoly validation engines).
+/// Which exact linear solver backs solve_lyapunov_exact.  Modular is the
+/// one production path (with Bareiss as its fallback); Bareiss alone is
+/// the slow deterministic reference the tests and ablations pin.
 enum class ExactSolverStrategy {
   Bareiss,  ///< fraction-free Bareiss elimination (the original path)
   Modular,  ///< multi-modular CRT + rational reconstruction
-  Auto,     ///< modular above a size threshold, Bareiss below
 };
-
-/// Strategy from $SPIV_EXACT_SOLVER ("bareiss" | "modular" | "auto";
-/// unset/empty -> Auto; anything else warns once and falls back to Auto).
-/// Re-read on every call so tests can flip the environment.
-[[nodiscard]] ExactSolverStrategy exact_solver_strategy();
-
-/// Whether the modular path should be taken for a system of the given
-/// dimension under `strategy`.  Auto prefers modular from dimension 6 up:
-/// below that the whole Bareiss elimination stays in single-limb territory
-/// and the CRT bookkeeping costs more than it saves.
-[[nodiscard]] bool modular_preferred(std::size_t dim,
-                                     ExactSolverStrategy strategy);
 
 /// Per-solve statistics (also mirrored into the obs registry).
 struct ModularStats {
@@ -77,9 +65,9 @@ struct ModularOptions {
   /// sound; cheap next to the elimination it replaces).
   bool verify = true;
   /// First trial-reconstruction checkpoint, in lucky primes folded; the
-  /// schedule doubles from there.  0 = $SPIV_MODULAR_CHECKPOINT (default
-  /// 4).  Purely a performance knob: any schedule yields the same result.
-  std::size_t checkpoint = 0;
+  /// schedule doubles from there.  Purely a performance knob: any schedule
+  /// yields the same result.
+  std::size_t checkpoint = 4;
   ModularStats* stats = nullptr;  ///< optional out-param
 };
 

@@ -45,8 +45,7 @@ std::optional<Candidate> synthesize_eq_smt(const Matrix& a,
   const exact::RatMatrix a_exact = exact::rat_matrix_from_doubles(
       a.data().data(), a.rows(), a.cols(), /*digits=*/0);
   auto p_exact = exact::solve_lyapunov_exact(
-      a_exact, exact::RatMatrix::identity(a.rows()), options.deadline,
-      options.exact_solver);
+      a_exact, exact::RatMatrix::identity(a.rows()), options.deadline);
   if (!p_exact) return std::nullopt;
   Candidate c;
   c.method = Method::EqSmt;

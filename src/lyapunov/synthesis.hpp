@@ -17,7 +17,6 @@
 #include <string>
 
 #include "exact/matrix.hpp"
-#include "exact/modular.hpp"
 #include "exact/timeout.hpp"
 #include "numeric/matrix.hpp"
 #include "sdp/lmi.hpp"
@@ -37,9 +36,6 @@ struct SynthesisOptions {
   double nu = 1e-3;    ///< LMIa+ eigenvalue floor
   double kappa = 1.0;  ///< normalization P < kappa I for the LMI methods
   Deadline deadline{};
-  /// eq-smt only: pin the exact linear-algebra backend instead of the
-  /// process-wide $SPIV_EXACT_SOLVER selection (verify::VerifyContext).
-  std::optional<exact::ExactSolverStrategy> exact_solver{};
 };
 
 /// A synthesized candidate.  `p` always holds the double-precision matrix

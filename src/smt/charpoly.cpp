@@ -11,12 +11,17 @@ using exact::Rational;
 
 namespace {
 
-/// Exact determinant for one interpolation node under the configured
-/// strategy.  Runs the modular path serially (jobs = 1): the engine is
-/// itself invoked from parallel validation sweeps, and nesting job pools
-/// inside each node would oversubscribe the machine.
+/// Smallest node matrix whose determinant goes through the modular path.
+/// Below it the whole Bareiss elimination stays in single-limb territory
+/// and the CRT bookkeeping costs more than it saves.
+constexpr std::size_t kModularDeterminantMinDim = 6;
+
+/// Exact determinant for one interpolation node.  Runs the modular path
+/// serially (jobs = 1): the engine is itself invoked from parallel
+/// validation sweeps, and nesting job pools inside each node would
+/// oversubscribe the machine.
 Rational node_determinant(const RatMatrix& shifted, const Deadline& deadline) {
-  if (exact::modular_preferred(shifted.rows(), exact::exact_solver_strategy())) {
+  if (shifted.rows() >= kModularDeterminantMinDim) {
     exact::ModularOptions options;
     options.jobs = 1;
     return exact::determinant_modular(shifted, deadline, options);

@@ -32,7 +32,6 @@
 #include <string>
 #include <variant>
 
-#include "exact/modular.hpp"
 #include "exact/timeout.hpp"
 #include "lyapunov/synthesis.hpp"
 #include "numeric/matrix.hpp"
@@ -97,22 +96,21 @@ struct VerifyRequest {
 };
 
 /// Ambient machinery threaded through the pipeline: where certificates
-/// live, how to cancel, which exact backend to use, where metrics go.
+/// live, how to cancel, where metrics go.
 /// from_env() resolves every field from the core::env variables; callers
 /// (CLI flags, the service, tests) override fields explicitly after that.
 struct VerifyContext {
   store::CertStore* store = nullptr;       ///< nullptr = caching off
   const CancelToken* token = nullptr;      ///< optional cooperative cancel
   std::size_t jobs = 0;                    ///< worker hint for drivers (0 = auto)
-  std::optional<exact::ExactSolverStrategy> exact_solver;  ///< eq-smt backend
   /// TTL for negative caching of synth-failed/timeout outcomes (0 = off).
   /// Timeout entries only shield requests whose budget is <= the budget
   /// that timed out, so raising a request's budget still recomputes.
   double negative_ttl_seconds = 0.0;
   obs::Registry* registry = &obs::Registry::global();
 
-  /// $SPIV_CACHE_DIR store, $SPIV_JOBS hint, $SPIV_EXACT_SOLVER strategy,
-  /// $SPIV_NEG_TTL negative-cache TTL.
+  /// $SPIV_CACHE_DIR store, $SPIV_JOBS hint, $SPIV_NEG_TTL negative-cache
+  /// TTL.
   [[nodiscard]] static VerifyContext from_env();
 };
 

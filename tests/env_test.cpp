@@ -59,6 +59,21 @@ TEST(ParsePositive, RejectsEverythingElse) {
   EXPECT_FALSE(env::parse_positive("99999999999999999999999").has_value());
 }
 
+TEST(ParseSeconds, AcceptsNonNegativeDecimals) {
+  EXPECT_EQ(env::parse_seconds("0"), 0.0);
+  EXPECT_EQ(env::parse_seconds("60"), 60.0);
+  EXPECT_EQ(env::parse_seconds("0.25"), 0.25);
+  EXPECT_EQ(env::parse_seconds(".5"), 0.5);
+  EXPECT_EQ(env::parse_seconds("1e3"), 1000.0);
+}
+
+TEST(ParseSeconds, RejectsEverythingElse) {
+  for (const char* bad : {"", "abc", "-1", "1.5s", " 2", "2 ", "inf", "nan",
+                          "1e19", "1e999"})
+    EXPECT_FALSE(env::parse_seconds(bad).has_value()) << bad;
+  EXPECT_FALSE(env::parse_seconds(nullptr).has_value());
+}
+
 TEST(Raw, ReflectsEnvironment) {
   {
     ScopedEnv env{"SPIV_ENV_TEST_RAW", "hello"};
@@ -180,37 +195,6 @@ TEST(TracePath, SetAndUnset) {
     ScopedEnv env{"SPIV_TRACE", nullptr};
     EXPECT_TRUE(env::trace_path().empty());  // empty = tracing off
   }
-}
-
-TEST(ExactSolver, AllRecognizedSpellings) {
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Bareiss);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Modular);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "auto"};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", nullptr};
-    EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  }
-}
-
-TEST(ExactSolver, InvalidFallsBackToAutoAndWarnsOnce) {
-  ScopedEnv env{"SPIV_EXACT_SOLVER", "simplex"};
-  env::rearm_warnings_for_testing();
-  testing::internal::CaptureStderr();
-  EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  EXPECT_EQ(env::exact_solver(), env::ExactSolver::Auto);
-  const std::string err = testing::internal::GetCapturedStderr();
-  EXPECT_NE(err.find("SPIV_EXACT_SOLVER"), std::string::npos);
-  EXPECT_NE(err.find("simplex"), std::string::npos);
-  EXPECT_EQ(err.find("SPIV_EXACT_SOLVER"), err.rfind("SPIV_EXACT_SOLVER"));
 }
 
 // Accessors must re-read the environment on every call (tests and

@@ -3,7 +3,6 @@
 // bit-identical agreement with fraction-free Bareiss.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 
 #include "exact/lyapunov_exact.hpp"
@@ -28,31 +27,6 @@ RatMatrix random_stable(std::mt19937_64& rng, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) a(i, i) -= Rational{40};
   return a;
 }
-
-/// RAII environment override (tests run single-threaded).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old) saved_ = old;
-    had_ = old != nullptr;
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 // ---------------------------------------------------------------- kernel
 
@@ -298,17 +272,18 @@ TEST(SolveRationalModular, SkipsSeededUnluckyPrimeAtSize15) {
   EXPECT_GE(stats.unlucky_primes, 1u);
 }
 
-TEST(SolveRationalModular, CheckpointEnvKnobPreservesTheResult) {
+TEST(SolveRationalModular, CheckpointPreservesTheResult) {
   std::mt19937_64 rng{7117};
   RatMatrix a = random_stable(rng, 6);
   RatMatrix b = random_matrix(rng, 6, 1);
-  const auto reference = solve_rational_modular(a, b);
+  const auto reference = a.solve(b);
   ASSERT_TRUE(reference.has_value());
-  for (const char* v : {"1", "64", "not-a-number"}) {
-    ScopedEnv env{"SPIV_MODULAR_CHECKPOINT", v};
-    auto x = solve_rational_modular(a, b);
-    ASSERT_TRUE(x.has_value()) << v;
-    EXPECT_EQ(*x, *reference) << v;
+  for (std::size_t checkpoint : {1, 4, 64}) {
+    ModularOptions options;
+    options.checkpoint = checkpoint;
+    auto x = solve_rational_modular(a, b, Deadline{}, options);
+    ASSERT_TRUE(x.has_value()) << checkpoint;
+    EXPECT_EQ(*x, *reference) << checkpoint;
   }
 }
 
@@ -359,47 +334,15 @@ TEST(DeterminantModular, MatchesBareissIncludingSignAndZero) {
 
 // -------------------------------------------------------------- strategy
 
-TEST(Strategy, EnvParsingAndThreshold) {
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Bareiss);
-    EXPECT_FALSE(modular_preferred(100, exact_solver_strategy()));
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Modular);
-    EXPECT_TRUE(modular_preferred(2, exact_solver_strategy()));
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "auto"};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Auto);
-    EXPECT_FALSE(modular_preferred(5, exact_solver_strategy()));
-    EXPECT_TRUE(modular_preferred(6, exact_solver_strategy()));
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", nullptr};
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Auto);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "simplex"};  // invalid: warn + Auto
-    EXPECT_EQ(exact_solver_strategy(), ExactSolverStrategy::Auto);
-  }
-}
-
 TEST(Strategy, LyapunovSolveIsIdenticalAcrossBackends) {
   std::mt19937_64 rng{7013};
-  for (std::size_t n = 3; n <= 5; ++n) {
+  for (std::size_t n = 1; n <= 5; ++n) {
     RatMatrix a = random_stable(rng, n);
     RatMatrix q = RatMatrix::identity(n);
-    std::optional<RatMatrix> via_bareiss, via_modular;
-    {
-      ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-      via_bareiss = solve_lyapunov_exact(a, q);
-    }
-    {
-      ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-      via_modular = solve_lyapunov_exact(a, q);
-    }
+    const auto via_bareiss =
+        solve_lyapunov_exact(a, q, Deadline{}, ExactSolverStrategy::Bareiss);
+    const auto via_modular =
+        solve_lyapunov_exact(a, q, Deadline{}, ExactSolverStrategy::Modular);
     ASSERT_TRUE(via_bareiss.has_value());
     ASSERT_TRUE(via_modular.has_value());
     EXPECT_EQ(*via_bareiss, *via_modular) << "n=" << n;
@@ -408,24 +351,6 @@ TEST(Strategy, LyapunovSolveIsIdenticalAcrossBackends) {
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j) EXPECT_TRUE(r(i, j).is_zero());
   }
-}
-
-TEST(Strategy, FullKroneckerSolveIsIdenticalAcrossBackends) {
-  std::mt19937_64 rng{7017};
-  RatMatrix a = random_stable(rng, 3);
-  RatMatrix q = RatMatrix::identity(3);
-  std::optional<RatMatrix> via_bareiss, via_modular;
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "bareiss"};
-    via_bareiss = solve_lyapunov_exact_full_kronecker(a, q);
-  }
-  {
-    ScopedEnv env{"SPIV_EXACT_SOLVER", "modular"};
-    via_modular = solve_lyapunov_exact_full_kronecker(a, q);
-  }
-  ASSERT_TRUE(via_bareiss.has_value());
-  ASSERT_TRUE(via_modular.has_value());
-  EXPECT_EQ(*via_bareiss, *via_modular);
 }
 
 }  // namespace

@@ -32,14 +32,15 @@ class ServiceTest : public ::testing::Test {
            ("spiv_service_test_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    // Export the size-3 and size-5 benchmark cases once.
+    // Export the size-3, size-5 and size-18 benchmark cases once.
     for (const auto& bm : model::benchmark_family())
-      if (bm.name == "size3" || bm.name == "size5") {
+      if (bm.name == "size3" || bm.name == "size5" || bm.name == "size18") {
         std::ofstream out{case_path(bm.name)};
         model::write_case(out, bm);
       }
     ASSERT_TRUE(fs::exists(case_path()));
     ASSERT_TRUE(fs::exists(case_path("size5")));
+    ASSERT_TRUE(fs::exists(case_path("size18")));
   }
   void TearDown() override {
     std::error_code ec;
@@ -208,23 +209,14 @@ TEST_F(ServiceTest, StatsLineReflectsStoreCounters) {
 TEST_F(ServiceTest, TimeoutBudgetIsSharedBetweenSynthesisAndValidation) {
   // Regression test for the deadline double-spend: synthesis and validation
   // used to each mint a FRESH `timeout_s` deadline, so a request declaring
-  // a budget T could run for up to 2T.  The workload (exact eq-smt solve on
-  // size5, validated by the exact smt-z3 engine at digits 0) takes roughly
-  // equal time in both stages, which makes the two behaviours observable:
-  // with one shared deadline, validation only gets what synthesis left and
-  // times out; with a fresh deadline it would finish and answer `valid`.
-  //
-  // Pin the exact solver to Bareiss: the multi-modular backend makes this
-  // synthesis an order of magnitude faster, which collapses the s ~= v
-  // balance the calibration below relies on.  The property under test is
-  // the service's deadline accounting, not solver speed, so the slower
-  // deterministic backend is the right workload.
-  struct ScopedBareiss {
-    ScopedBareiss() { ::setenv("SPIV_EXACT_SOLVER", "bareiss", 1); }
-    ~ScopedBareiss() { ::unsetenv("SPIV_EXACT_SOLVER"); }
-  } scoped_bareiss;
+  // a budget T could run for up to 2T.  The workload (LMI synthesis on
+  // size18, validated by the exact Sylvester engine at digits 10) takes
+  // roughly equal time in both stages (~2 s each on a 4-core Xeon), which
+  // makes the two behaviours observable: with one shared deadline,
+  // validation only gets what synthesis left and times out; with a fresh
+  // deadline it would finish and answer `valid`.
   const std::string cmd =
-      "verify " + case_path("size5") + " 0 eq-smt - smt-z3 0";
+      "verify " + case_path("size18") + " 0 LMI newton-ac sylvester 10";
 
   // Calibrate on this machine under a generous budget.
   const std::string calib = drive(cmd + " 600\nquit\n", nullptr);

@@ -10,7 +10,6 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
@@ -27,32 +26,6 @@ namespace spiv {
 namespace {
 
 namespace fs = std::filesystem;
-
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old) {
-      saved_ = old;
-      had_ = true;
-    }
-    if (value)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 class VerifyPipelineTest : public ::testing::Test {
  protected:
@@ -202,9 +175,8 @@ TEST_F(VerifyPipelineTest, GoldenParityOnHit) {
 }
 
 TEST_F(VerifyPipelineTest, GoldenParityOnTimeout) {
-  // Pin the slow deterministic exact backend so the eq-smt synthesis
-  // reliably outlives a millisecond budget.
-  ScopedEnv bareiss{"SPIV_EXACT_SOLVER", "bareiss"};
+  // The eq-smt synthesis (~0.2 s at size5) reliably outlives a
+  // millisecond budget.
   const std::string transcript = drive(
       "verify " + case_path("size5") + " 0 eq-smt - smt-z3 0 0.001\nquit\n",
       nullptr);
@@ -293,14 +265,15 @@ TEST_F(VerifyPipelineTest, BudgetPolicySemantics) {
   // burn up to 3T).  Under SharedBudget the stages draw from one deadline;
   // under SplitBudget the validation clock must not start until synthesis
   // has finished.  Calibrate a workload where both stages take comparable,
-  // measurable time, then observe both policies.
-  ScopedEnv bareiss{"SPIV_EXACT_SOLVER", "bareiss"};
+  // measurable time (LMI synthesis and Sylvester validation at size18 each
+  // take ~2 s on a 4-core Xeon), then observe both policies.
   verify::VerifyContext ctx;
   verify::VerifyRequest req;
-  req.a = closed_a("size5");
-  req.method = lyap::Method::EqSmt;
-  req.engine = smt::Engine::SmtZ3Style;
-  req.digits = 0;
+  req.a = closed_a("size18");
+  req.method = lyap::Method::Lmi;
+  req.backend = sdp::Backend::NewtonAnalyticCenter;
+  req.engine = smt::Engine::Sylvester;
+  req.digits = 10;
   req.budget = verify::SharedBudget{600.0};
   const verify::VerifyOutcome calib = verify::run_verify(ctx, req);
   ASSERT_EQ(calib.status, verify::Status::Valid);
