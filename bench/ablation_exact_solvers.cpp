@@ -8,7 +8,6 @@
 // tracked across commits.
 #include <chrono>
 #include <cstdio>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "core/parallel.hpp"
@@ -54,8 +53,8 @@ int main(int argc, char** argv) {
   std::printf("%-8s %6s %6s %14s %14s %10s %8s %8s  %s\n", "model", "dim",
               "vech-N", "bareiss (s)", "modular (s)", "speedup", "primes",
               "same", "elim/crt/rec/ver (s)");
-  std::ostringstream rows;
-  bool first = true;
+  std::vector<bench::Fields> cells;
+  const auto start = Clock::now();
   for (const auto& bm : model::make_benchmark_family()) {
     if (!wanted(bm.size)) continue;
     auto mode =
@@ -130,29 +129,26 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.primes_used),
                 both ? (identical ? "yes" : "NO") : "-", phases);
 
-    rows << (first ? "\n" : ",\n") << "    {\"model\": \"" << bm.name
-         << "\", \"size\": " << bm.size << ", \"dim\": " << d
-         << ", \"vech_unknowns\": " << op.rows()
-         << ", \"bareiss_seconds\": " << (t_bareiss < 0 ? -1.0 : t_bareiss)
-         << ", \"modular_seconds\": " << (t_modular < 0 ? -1.0 : t_modular)
-         << ", \"primes_used\": " << stats.primes_used
-         << ", \"unlucky_primes\": " << stats.unlucky_primes
-         << ", \"early_exit\": " << (stats.early_exit ? "true" : "false")
-         << ", \"jobs\": " << jobs
-         << ", \"elim_seconds\": " << stats.elim_seconds
-         << ", \"crt_seconds\": " << stats.crt_seconds
-         << ", \"reconstruct_seconds\": " << stats.reconstruct_seconds
-         << ", \"verify_seconds\": " << stats.verify_seconds
-         << ", \"crt_reconstruct_speedup\": "
-         << (speedup_crt_rec < 0 ? -1.0 : speedup_crt_rec)
-         << ", \"identical\": " << (identical ? "true" : "false") << "}";
-    first = false;
+    cells.push_back(
+        {{"model", bm.name},
+         {"size", bm.size},
+         {"dim", d},
+         {"vech_unknowns", op.rows()},
+         {"bareiss_seconds", t_bareiss},
+         {"modular_seconds", t_modular},
+         {"primes_used", stats.primes_used},
+         {"unlucky_primes", stats.unlucky_primes},
+         {"early_exit", stats.early_exit},
+         {"elim_seconds", stats.elim_seconds},
+         {"crt_seconds", stats.crt_seconds},
+         {"reconstruct_seconds", stats.reconstruct_seconds},
+         {"verify_seconds", stats.verify_seconds},
+         {"crt_reconstruct_speedup", speedup_crt_rec},
+         {"identical", identical}});
   }
-  std::ostringstream json;
-  json << "{\n  \"experiment\": \"exact_solvers\",\n  "
-       << bench::machine_meta_fields() << ",\n  \"budget_seconds\": " << budget
-       << ",\n  \"cells\": [" << rows.str() << "\n  ]\n}\n";
-  core::write_file("BENCH_exact_solvers.json", json.str());
+  bench::write_record("BENCH_exact_solvers.json", "exact_solvers", jobs,
+                      seconds_since(start), {{"budget_seconds", budget}},
+                      cells);
   std::printf("\n(-1 seconds = timed out at the budget; backend comparison "
               "written to BENCH_exact_solvers.json)\n");
   bench::write_metrics(metrics_out);

@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 
 #include "bench_common.hpp"
 #include "core/format.hpp"
@@ -37,24 +36,6 @@ double run_once(const spiv::core::ExperimentConfig& config,
   const auto t0 = Clock::now();
   result = spiv::core::run_table1(config);
   return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-std::string service_bench_json(double cold_seconds, double warm_seconds,
-                               std::uint64_t hits, bool identical,
-                               std::size_t jobs) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"experiment\": \"table1-cold-warm\",\n";
-  os << "  " << spiv::bench::machine_meta_fields() << ",\n";
-  os << "  \"jobs\": " << jobs << ",\n";
-  os << "  \"cold_seconds\": " << cold_seconds << ",\n";
-  os << "  \"warm_seconds\": " << warm_seconds << ",\n";
-  os << "  \"speedup\": "
-     << (warm_seconds > 0.0 ? cold_seconds / warm_seconds : 0.0) << ",\n";
-  os << "  \"hits\": " << hits << ",\n";
-  os << "  \"cells_identical\": " << (identical ? "true" : "false") << "\n";
-  os << "}\n";
-  return os.str();
 }
 
 }  // namespace
@@ -91,9 +72,8 @@ int main(int argc, char** argv) {
   const double wall = run_once(config, result);
   std::cout << core::format_table1(result);
   core::write_file("table1.csv", core::table1_csv(result));
-  core::write_file("BENCH_table1.json",
-                   core::table1_bench_json(result, wall, jobs,
-                                           bench::machine_meta_fields()));
+  bench::write_record("BENCH_table1.json", "table1", jobs, wall, {},
+                      bench::table1_cells(result));
   std::cout << "(CSV written to table1.csv; harness wall-clock " << wall
             << " s with " << jobs
             << " worker(s) recorded in BENCH_table1.json)\n";
@@ -105,8 +85,14 @@ int main(int argc, char** argv) {
     const std::uint64_t hits = cache->stats().hits() - before.hits();
     const bool identical =
         core::format_table1(warm_result) == core::format_table1(result);
-    core::write_file("BENCH_service.json",
-                     service_bench_json(wall, warm_wall, hits, identical, jobs));
+    bench::write_record(
+        "BENCH_service.json", "table1-cold-warm", jobs, wall + warm_wall,
+        {{"cold_seconds", wall},
+         {"warm_seconds", warm_wall},
+         {"speedup", warm_wall > 0.0 ? wall / warm_wall : 0.0},
+         {"hits", hits},
+         {"cells_identical", identical}},
+        {});
     std::cout << "(cold " << wall << " s -> warm " << warm_wall << " s, "
               << hits << " store hit(s), cells "
               << (identical ? "identical" : "DIFFERENT")

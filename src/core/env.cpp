@@ -50,7 +50,7 @@ std::optional<double> parse_seconds(const char* text) {
   char* end = nullptr;
   errno = 0;
   const double seconds = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno != 0 || seconds >= 1e18)
+  if (end == text || *end != '\0' || errno != 0 || seconds > 1e18)
     return std::nullopt;
   return seconds;
 }

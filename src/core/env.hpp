@@ -31,9 +31,9 @@ namespace spiv::core::env {
 /// decimal integer in `long` range ("4abc", "-1", "3.5", "" all reject).
 [[nodiscard]] std::optional<std::size_t> parse_positive(const char* text);
 
-/// Strict non-negative-seconds parse: the whole string must be a finite
-/// decimal number >= 0 ("1.5" and ".5" accept; " 1", "1s", "-1", "inf",
-/// "" all reject).
+/// Strict non-negative-seconds parse: the whole string must be a decimal
+/// number in [0, 1e18] ("1.5", ".5" and "1e18", "effectively never",
+/// accept; " 1", "1s", "-1", "inf", "nan", "1e19", "" all reject).
 [[nodiscard]] std::optional<double> parse_seconds(const char* text);
 
 /// $SPIV_JOBS — worker-thread count for the experiment pools.  Returns

@@ -93,38 +93,6 @@ std::string table1_csv(const Table1Result& result) {
   return os.str();
 }
 
-std::string table1_bench_json(const Table1Result& result, double wall_seconds,
-                              std::size_t jobs,
-                              const std::string& meta_fields) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"experiment\": \"table1\",\n";
-  if (!meta_fields.empty()) os << "  " << meta_fields << ",\n";
-  os << "  \"jobs\": " << jobs << ",\n";
-  os << "  \"wall_seconds\": " << fixed(wall_seconds, 6) << ",\n";
-  os << "  \"cells\": [";
-  const std::size_t rows = std::min(result.strategies.size(),
-                                    result.cells.size());
-  bool first = true;
-  for (std::size_t s = 0; s < rows; ++s)
-    for (const auto& [size, cell] : result.cells[s]) {
-      if (cell.cases == 0) continue;
-      os << (first ? "\n" : ",\n");
-      first = false;
-      os << "    {\"method\": \"" << lyap::to_string(result.strategies[s].method)
-         << "\", \"solver\": \"" << result.strategies[s].backend_name()
-         << "\", \"size\": " << size
-         << ", \"total_synth_seconds\": " << fixed(cell.total_synth_seconds, 6)
-         << ", \"avg_synth_seconds\": " << fixed(cell.avg_synth_seconds(), 6)
-         << ", \"synthesized\": " << cell.synthesized
-         << ", \"valid\": " << cell.valid
-         << ", \"timeouts\": " << cell.timeouts
-         << ", \"cases\": " << cell.cases << "}";
-    }
-  os << "\n  ]\n}\n";
-  return os.str();
-}
-
 std::string format_figure3(const Figure3Result& result) {
   // Cactus: cumulative #solved (Valid or Invalid answers both count as
   // solved obligations) within time budgets.

@@ -13,18 +13,6 @@ namespace spiv::core {
 [[nodiscard]] std::string format_table1(const Table1Result& result);
 [[nodiscard]] std::string table1_csv(const Table1Result& result);
 
-/// Machine-readable benchmark record for the Table I harness: one JSON
-/// object with the harness wall-clock, the worker count, and one entry per
-/// (strategy, size) cell carrying its per-cell seconds and counts.  Written
-/// by bench/table1_synthesis as BENCH_table1.json so CI can track the
-/// parallel speedup across runs.  `meta_fields`, when nonempty, is spliced
-/// in as additional top-level `"key": value` pairs (machine/build identity;
-/// see bench::machine_meta_fields()).
-[[nodiscard]] std::string table1_bench_json(const Table1Result& result,
-                                            double wall_seconds,
-                                            std::size_t jobs,
-                                            const std::string& meta_fields = {});
-
 /// Fig. 3 layout: a cactus table — for each engine, the cumulative number
 /// of validation obligations solved within increasing time budgets.
 [[nodiscard]] std::string format_figure3(const Figure3Result& result);

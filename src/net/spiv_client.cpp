@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <optional>
@@ -19,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/env.hpp"
 #include "net/client.hpp"
 #include "net/socket.hpp"
 
@@ -244,6 +246,18 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // The value of flag argv[i] through `parse`; exit 2 when it rejects it.
+  auto parsed = [&](int& i, auto parse) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    const auto v = parse(value);
+    if (!v) {
+      std::fprintf(stderr, "invalid %s '%s'\n", flag, value);
+      print_usage(stderr, argv[0]);
+      std::exit(2);
+    }
+    return *v;
+  };
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       print_usage(stdout, argv[0]);
@@ -255,13 +269,16 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--request")) {
       opt.request_tail = need_value(i);
     } else if (!std::strcmp(argv[i], "--connections")) {
-      opt.connections = std::strtoul(need_value(i), nullptr, 10);
+      opt.connections = parsed(i, spiv::core::env::parse_positive);
     } else if (!std::strcmp(argv[i], "--requests")) {
-      opt.requests = std::strtoul(need_value(i), nullptr, 10);
+      opt.requests = parsed(i, spiv::core::env::parse_positive);
     } else if (!std::strcmp(argv[i], "--batch")) {
-      opt.batch = std::strtoul(need_value(i), nullptr, 10);
+      opt.batch = parsed(i, [](const char* v) {
+        return std::strcmp(v, "0") ? spiv::core::env::parse_positive(v)
+                                   : std::optional<std::size_t>{0};
+      });
     } else if (!std::strcmp(argv[i], "--deadline")) {
-      opt.deadline = std::strtod(need_value(i), nullptr);
+      opt.deadline = parsed(i, spiv::core::env::parse_seconds);
     } else if (!std::strcmp(argv[i], "--warm")) {
       opt.warm = true;
     } else if (!std::strcmp(argv[i], "--stats")) {
@@ -275,7 +292,7 @@ int main(int argc, char** argv) {
     }
   }
   if ((opt.unix_path.empty() == opt.tcp.empty()) ||
-      opt.request_tail.empty() || opt.connections == 0 || opt.requests == 0) {
+      opt.request_tail.empty()) {
     print_usage(stderr, argv[0]);
     return 2;
   }

@@ -71,6 +71,22 @@ int main(int argc, char** argv) {
     }
     return argv[++i];
   };
+  // The value of flag argv[i] through `parse`; exit 2 when it rejects it.
+  auto parsed = [&](int& i, auto parse) {
+    const char* flag = argv[i];
+    const char* value = need_value(i);
+    const auto v = parse(value);
+    if (!v) {
+      std::fprintf(stderr, "invalid %s '%s'\n", flag, value);
+      print_usage(stderr, argv[0]);
+      std::exit(2);
+    }
+    return *v;
+  };
+  const auto zero_or_positive = [](const char* v) {
+    return std::strcmp(v, "0") ? core::env::parse_positive(v)
+                               : std::optional<std::size_t>{0};
+  };
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       print_usage(stdout, argv[0]);
@@ -79,26 +95,12 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--jobs")) {
       // Strict parse + the same 8x hardware cap as $SPIV_JOBS (resolve_jobs
       // clamps oversized explicit requests with a stderr warning).
-      const char* value = need_value(i);
-      const std::optional<std::size_t> jobs = core::parse_jobs(value);
-      if (!jobs) {
-        std::fprintf(stderr,
-                     "invalid --jobs '%s' (must be a positive integer)\n",
-                     value);
-        return 2;
-      }
-      options.jobs = core::resolve_jobs(*jobs);
+      options.jobs = core::resolve_jobs(parsed(i, core::parse_jobs));
     } else if (!std::strcmp(argv[i], "--timeout")) {
-      const char* value = need_value(i);
-      char* end = nullptr;
-      options.default_timeout_seconds = std::strtod(value, &end);
-      if (end == value || *end != '\0' ||
-          !(options.default_timeout_seconds > 0.0)) {
-        std::fprintf(stderr,
-                     "invalid --timeout '%s' (must be positive seconds)\n",
-                     value);
-        return 2;
-      }
+      options.default_timeout_seconds = parsed(i, [](const char* v) {
+        const std::optional<double> seconds = core::env::parse_seconds(v);
+        return seconds == 0.0 ? std::nullopt : seconds;
+      });
     } else if (!std::strcmp(argv[i], "--cache-dir")) {
       cache_dir = need_value(i);
       if (cache_dir.empty()) {
@@ -109,50 +111,20 @@ int main(int argc, char** argv) {
       server_options.unix_path = need_value(i);
       listen_unix = true;
     } else if (!std::strcmp(argv[i], "--listen-tcp")) {
-      const char* value = need_value(i);
-      const auto addr = net::parse_tcp_address(value);
-      if (!addr) {
-        std::fprintf(stderr,
-                     "invalid --listen-tcp '%s' (expected [HOST:]PORT)\n",
-                     value);
-        return 2;
-      }
-      server_options.tcp_host = addr->host;
-      server_options.tcp_port = addr->port;
+      const net::TcpAddress addr = parsed(i, net::parse_tcp_address);
+      server_options.tcp_host = addr.host;
+      server_options.tcp_port = addr.port;
       listen_tcp = true;
     } else if (!std::strcmp(argv[i], "--max-connections")) {
-      const char* value = need_value(i);
-      const auto n = core::env::parse_positive(value);
-      if (!n) {
-        std::fprintf(stderr, "invalid --max-connections '%s'\n", value);
-        return 2;
-      }
-      server_options.max_connections = *n;
+      server_options.max_connections =
+          parsed(i, core::env::parse_positive);
     } else if (!std::strcmp(argv[i], "--max-inflight")) {
-      const char* value = need_value(i);
-      const auto n = core::env::parse_positive(value);
-      if (!n && std::strcmp(value, "0") != 0) {
-        std::fprintf(stderr, "invalid --max-inflight '%s'\n", value);
-        return 2;
-      }
-      options.max_inflight = n.value_or(0);
+      options.max_inflight = parsed(i, zero_or_positive);
     } else if (!std::strcmp(argv[i], "--max-queue-depth")) {
-      const char* value = need_value(i);
-      const auto n = core::env::parse_positive(value);
-      if (!n && std::strcmp(value, "0") != 0) {
-        std::fprintf(stderr, "invalid --max-queue-depth '%s'\n", value);
-        return 2;
-      }
-      options.max_queue_depth = static_cast<std::int64_t>(n.value_or(0));
+      options.max_queue_depth =
+          static_cast<std::int64_t>(parsed(i, zero_or_positive));
     } else if (!std::strcmp(argv[i], "--neg-ttl")) {
-      const char* value = need_value(i);
-      char* end = nullptr;
-      options.negative_ttl_seconds = std::strtod(value, &end);
-      if (end == value || *end != '\0' || options.negative_ttl_seconds < 0.0) {
-        std::fprintf(stderr,
-                     "invalid --neg-ttl '%s' (must be >= 0 seconds)\n", value);
-        return 2;
-      }
+      options.negative_ttl_seconds = parsed(i, core::env::parse_seconds);
       neg_ttl_set = true;
     } else if (!std::strcmp(argv[i], "--metrics-out")) {
       metrics_out = need_value(i);

@@ -65,6 +65,8 @@ TEST(ParseSeconds, AcceptsNonNegativeDecimals) {
   EXPECT_EQ(env::parse_seconds("0.25"), 0.25);
   EXPECT_EQ(env::parse_seconds(".5"), 0.5);
   EXPECT_EQ(env::parse_seconds("1e3"), 1000.0);
+  // `spiv-serve --timeout 1e18` is the documented "effectively never".
+  EXPECT_EQ(env::parse_seconds("1e18"), 1e18);
 }
 
 TEST(ParseSeconds, RejectsEverythingElse) {

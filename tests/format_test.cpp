@@ -82,23 +82,6 @@ TEST(Format, Table1DistinguishesTimeoutFromFailure) {
   EXPECT_EQ(csv.find(",18,"), std::string::npos);
 }
 
-TEST(Format, Table1BenchJsonWellFormed) {
-  const std::string json = table1_bench_json(small_table1(), 12.5, 4);
-  EXPECT_NE(json.find("\"experiment\": \"table1\""), std::string::npos);
-  EXPECT_NE(json.find("\"jobs\": 4"), std::string::npos);
-  EXPECT_NE(json.find("\"wall_seconds\": 12.5"), std::string::npos);
-  EXPECT_NE(json.find("\"method\": \"eq-smt\""), std::string::npos);
-  EXPECT_NE(json.find("\"size\": 15"), std::string::npos);
-  EXPECT_NE(json.find("\"timeouts\": 2"), std::string::npos);
-  // Three populated cells -> three objects.
-  std::size_t count = 0, pos = 0;
-  while ((pos = json.find("\"avg_synth_seconds\"", pos)) != std::string::npos) {
-    ++count;
-    ++pos;
-  }
-  EXPECT_EQ(count, 3u);
-}
-
 TEST(Format, Figure3CactusCountsMonotone) {
   Figure3Result r;
   r.engines = {{smt::Engine::Sylvester, false}, {smt::Engine::SmtZ3Style, true}};
