@@ -48,6 +48,20 @@ class CancelToken {
   std::shared_ptr<std::atomic<bool>> flag_;
 };
 
+/// `now + span` on the steady clock, saturated to time_point::max() when the
+/// sum is not representable: an unchecked duration_cast of a huge span
+/// overflows into a *past* time point.
+[[nodiscard]] inline std::chrono::steady_clock::time_point saturating_add(
+    std::chrono::steady_clock::time_point now,
+    std::chrono::duration<double> span) {
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::duration<double> headroom =
+      std::chrono::duration<double>(Clock::time_point::max() - now);
+  return span >= headroom
+             ? Clock::time_point::max()
+             : now + std::chrono::duration_cast<Clock::duration>(span);
+}
+
 /// A wall-clock budget, optionally bound to a CancelToken.
 /// Default-constructed deadlines never expire.
 class Deadline {
@@ -61,14 +75,8 @@ class Deadline {
   /// range saturate to "effectively never" — an unchecked duration_cast
   /// would overflow into a *past* expiry and time every request out
   /// instantly (e.g. `spiv-serve --timeout 1e18`).
-  explicit Deadline(std::chrono::duration<double> budget) {
-    const Clock::time_point now = Clock::now();
-    const std::chrono::duration<double> headroom =
-        std::chrono::duration<double>(Clock::time_point::max() - now);
-    expiry_ = budget >= headroom
-                  ? Clock::time_point::max()
-                  : now + std::chrono::duration_cast<Clock::duration>(budget);
-  }
+  explicit Deadline(std::chrono::duration<double> budget)
+      : expiry_(saturating_add(Clock::now(), budget)) {}
 
   [[nodiscard]] static Deadline after_seconds(double s) {
     return Deadline{std::chrono::duration<double>(s)};

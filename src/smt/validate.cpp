@@ -3,6 +3,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "exact/int_system.hpp"
 #include "numeric/eigen.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
@@ -10,6 +11,7 @@
 
 namespace spiv::smt {
 
+using exact::BigInt;
 using exact::RatMatrix;
 using exact::Rational;
 
@@ -33,28 +35,34 @@ std::optional<Engine> engine_from_string(const std::string& name) {
 
 namespace {
 
-/// Incremental Sylvester criterion with early exit: eliminates without row
-/// swaps; the running pivot product equals the leading principal minors.
-/// Returns Valid iff every leading principal minor is strictly positive.
-Outcome sylvester_strict(const RatMatrix& input, const Deadline& deadline) {
-  RatMatrix m = input;
-  const std::size_t n = m.rows();
+/// Square integer matrix as rows (the layout of exact::detail::IntSystem).
+using IntRows = std::vector<std::vector<BigInt>>;
+
+/// Sylvester criterion with early exit, by fraction-free Bareiss elimination
+/// of an integer matrix without row swaps: pivot k is the k-th leading
+/// principal minor, so the scan stops at the first minor <= 0.  Every
+/// division by the previous pivot is exact (Sylvester's identity), so no gcd
+/// runs inside the loop.  Returns Valid iff every leading principal minor
+/// is strictly positive.
+Outcome sylvester_strict(IntRows m, const Deadline& deadline) {
+  const std::size_t n = m.size();
+  BigInt prev{1};
   for (std::size_t col = 0; col < n; ++col) {
     deadline.check();
-    // With all previous pivots positive, minor_k = (prod pivots) * pivot_k,
-    // so the sign of the next minor is the sign of the pivot itself.
-    if (m(col, col).sign() <= 0) return Outcome::Invalid;
-    const Rational inv_pivot = m(col, col).reciprocal();
+    const BigInt& pivot = m[col][col];
+    if (pivot.sign() <= 0) return Outcome::Invalid;
     for (std::size_t r = col + 1; r < n; ++r) {
-      if (m(r, col).is_zero()) continue;
       deadline.check();  // row-level poll: rows get heavy late in elimination
-      const Rational factor = m(r, col) * inv_pivot;
-      m(r, col) = Rational{};
+      const BigInt f = std::move(m[r][col]);
+      // Even for f == 0 the row is rescaled by pivot/prev, which keeps every
+      // entry a minor of the input (and the next division exact).
       for (std::size_t j = col + 1; j < n; ++j) {
-        if (m(col, j).is_zero()) continue;
-        m(r, j) -= factor * m(col, j);
+        BigInt t = pivot * m[r][j];
+        if (!f.is_zero()) t -= f * m[col][j];
+        m[r][j] = prev.is_one() ? std::move(t) : t / prev;
       }
     }
+    prev = pivot;
   }
   return Outcome::Valid;
 }
@@ -132,6 +140,110 @@ std::optional<std::vector<Rational>> counter_model(const RatMatrix& m) {
   return std::nullopt;
 }
 
+/// Runs one decision under the clock; a TimeoutError becomes
+/// Outcome::Timeout.  `decide` may record a witness in the verdict.
+template <class Decide>
+Verdict timed(Decide&& decide) {
+  Verdict verdict;
+  const auto start = std::chrono::steady_clock::now();
+  try {
+    verdict.outcome = decide(verdict);
+  } catch (const TimeoutError&) {
+    verdict.outcome = Outcome::Timeout;
+  }
+  verdict.seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  return verdict;
+}
+
+/// The engine dispatch of check_positive_definite on a symmetric matrix.
+Outcome decide(const RatMatrix& m, Engine engine, const CheckOptions& options,
+               Verdict& verdict) {
+  switch (engine) {
+    case Engine::Sylvester: {
+      if (options.det_encoding) {
+        // "+det": nonsingularity first, then the weak condition (which
+        // together with det != 0 is equivalent to the strict one).
+        if (m.determinant(options.deadline).is_zero()) return Outcome::Invalid;
+      }
+      // Row scales are positive, so every leading minor keeps its sign.
+      return sylvester_strict(exact::detail::clear_denominators(m, nullptr).m,
+                              options.deadline);
+    }
+    case Engine::SympyGauss: {
+      if (options.det_encoding && m.determinant(options.deadline).is_zero())
+        return Outcome::Invalid;
+      return bareiss_strict(m, options.deadline);
+    }
+    case Engine::Ldlt: {
+      if (options.det_encoding && m.determinant(options.deadline).is_zero())
+        return Outcome::Invalid;
+      return ldlt_strict(m, options.deadline);
+    }
+    case Engine::SmtZ3Style:
+    case Engine::SmtCvc5Style: {
+      // Phase 1: cheap counter-model search (SAT answers are fast).
+      if (auto w = counter_model(m)) {
+        verdict.witness = std::move(*w);
+        return Outcome::Invalid;
+      }
+      // Phase 2: complete decision via the characteristic polynomial.
+      auto coeffs = engine == Engine::SmtZ3Style
+                        ? characteristic_polynomial_faddeev(m, options.deadline)
+                        : characteristic_polynomial_interpolation(
+                              m, options.deadline);
+      bool ok;
+      if (options.det_encoding) {
+        // weak alternation + det != 0  (det = +/- c0).
+        ok = all_roots_nonnegative(coeffs) && !coeffs.front().is_zero();
+      } else {
+        ok = all_roots_positive_strict(coeffs);
+      }
+      return ok ? Outcome::Valid : Outcome::Invalid;
+    }
+  }
+  throw std::logic_error("check_positive_definite: unknown engine");
+}
+
+/// Least common multiple of the entry denominators of `m`.
+BigInt common_denominator(const RatMatrix& m) {
+  BigInt l{1};
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      const BigInt& d = m(i, j).den();
+      if (!d.is_one()) l = l / BigInt::gcd(l, d) * d;
+    }
+  return l;
+}
+
+/// The integer matrix scale * m; `scale` is a common denominator of m.
+IntRows scaled_integers(const RatMatrix& m, const BigInt& scale) {
+  IntRows out(m.rows(), std::vector<BigInt>(m.cols()));
+  for (std::size_t i = 0; i < m.rows(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      out[i][j] = m(i, j).num() * (scale / m(i, j).den());
+  return out;
+}
+
+/// Decides positive-definiteness of the exact matrix m / scale (scale > 0).
+/// Plain Sylvester runs on the integers directly: a positive scale leaves
+/// every leading minor's sign unchanged.  The other engines (and "+det")
+/// receive the value-identical rational matrix.
+Verdict check_scaled(IntRows m, const BigInt& scale, Engine engine,
+                     const CheckOptions& options) {
+  if (engine != Engine::Sylvester || options.det_encoding) {
+    RatMatrix exact_m{m.size(), m.size()};
+    for (std::size_t i = 0; i < m.size(); ++i)
+      for (std::size_t j = 0; j < m.size(); ++j)
+        exact_m(i, j) = Rational{std::move(m[i][j]), scale};
+    return check_positive_definite(exact_m, engine, options);
+  }
+  return timed([&](Verdict&) {
+    return sylvester_strict(std::move(m), options.deadline);
+  });
+}
+
 }  // namespace
 
 Verdict check_positive_definite(const RatMatrix& m, Engine engine,
@@ -139,62 +251,8 @@ Verdict check_positive_definite(const RatMatrix& m, Engine engine,
   if (!m.is_square() || !m.is_symmetric())
     throw std::invalid_argument(
         "check_positive_definite: symmetric matrix required");
-  Verdict verdict;
-  const auto start = std::chrono::steady_clock::now();
-  auto finish = [&](Outcome o) {
-    verdict.outcome = o;
-    verdict.seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    return verdict;
-  };
-  try {
-    switch (engine) {
-      case Engine::Sylvester: {
-        if (options.det_encoding) {
-          // "+det": nonsingularity first, then the weak condition (which
-          // together with det != 0 is equivalent to the strict one).
-          if (m.determinant(options.deadline).is_zero())
-            return finish(Outcome::Invalid);
-        }
-        return finish(sylvester_strict(m, options.deadline));
-      }
-      case Engine::SympyGauss: {
-        if (options.det_encoding && m.determinant(options.deadline).is_zero())
-          return finish(Outcome::Invalid);
-        return finish(bareiss_strict(m, options.deadline));
-      }
-      case Engine::Ldlt: {
-        if (options.det_encoding && m.determinant(options.deadline).is_zero())
-          return finish(Outcome::Invalid);
-        return finish(ldlt_strict(m, options.deadline));
-      }
-      case Engine::SmtZ3Style:
-      case Engine::SmtCvc5Style: {
-        // Phase 1: cheap counter-model search (SAT answers are fast).
-        if (auto w = counter_model(m)) {
-          verdict.witness = std::move(*w);
-          return finish(Outcome::Invalid);
-        }
-        // Phase 2: complete decision via the characteristic polynomial.
-        auto coeffs = engine == Engine::SmtZ3Style
-                          ? characteristic_polynomial_faddeev(m, options.deadline)
-                          : characteristic_polynomial_interpolation(
-                                m, options.deadline);
-        bool ok;
-        if (options.det_encoding) {
-          // weak alternation + det != 0  (det = +/- c0).
-          ok = all_roots_nonnegative(coeffs) && !coeffs.front().is_zero();
-        } else {
-          ok = all_roots_positive_strict(coeffs);
-        }
-        return finish(ok ? Outcome::Valid : Outcome::Invalid);
-      }
-    }
-  } catch (const TimeoutError&) {
-    return finish(Outcome::Timeout);
-  }
-  throw std::logic_error("check_positive_definite: unknown engine");
+  return timed(
+      [&](Verdict& verdict) { return decide(m, engine, options, verdict); });
 }
 
 exact::RatMatrix rationalize(const numeric::Matrix& m, int digits) {
@@ -210,14 +268,38 @@ LyapunovValidation validate_lyapunov(const numeric::Matrix& a,
   obs::Span span{"validation", to_string(engine)};
   // The system matrix enters exactly; only the candidate is rounded
   // (paper §VI-B1: candidates rounded at the 10th significant figure).
+  // Denominators are cleared once, so the Lie matrix is formed with BigInt
+  // products instead of gcd-normalised rational ones:
+  //   A_i = a_den A,   S = P_i + P_i^T = 2 p_den sym(P),
+  //   L = -(A_i^T S + S A_i) = -2 a_den p_den (A^T sym(P) + sym(P) A).
+  // Both are the exact matrices times a positive integer scale.
+  const std::size_t n = a.rows();
   const RatMatrix a_exact = rationalize(a, 0);
-  const RatMatrix p_exact = rationalize(p, digits).symmetrized();
-  const RatMatrix lie =
-      -(a_exact.transposed() * p_exact + p_exact * a_exact).symmetrized();
+  const RatMatrix p_rounded = rationalize(p, digits);
+  const BigInt a_den = common_denominator(a_exact);
+  const BigInt p_den = common_denominator(p_rounded);
+  const IntRows a_int = scaled_integers(a_exact, a_den);
+  const IntRows p_int = scaled_integers(p_rounded, p_den);
+  IntRows s(n, std::vector<BigInt>(n));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) s[i][j] = p_int[i][j] + p_int[j][i];
+  // S A_i; S is symmetric, so (A_i^T S)(i, j) = (S A_i)(j, i).
+  IntRows sa(n, std::vector<BigInt>(n));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t k = 0; k < n; ++k) {
+      if (s[i][k].is_zero()) continue;
+      for (std::size_t j = 0; j < n; ++j)
+        if (!a_int[k][j].is_zero()) sa[i][j] += s[i][k] * a_int[k][j];
+    }
+  IntRows lie(n, std::vector<BigInt>(n));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) lie[i][j] = -(sa[i][j] + sa[j][i]);
+  const BigInt p_scale = p_den * BigInt{2};
+  const BigInt lie_scale = p_scale * a_den;
 
   LyapunovValidation out;
-  out.positivity = check_positive_definite(p_exact, engine, options);
-  out.decrease = check_positive_definite(lie, engine, options);
+  out.positivity = check_scaled(std::move(s), p_scale, engine, options);
+  out.decrease = check_scaled(std::move(lie), lie_scale, engine, options);
   obs::Registry::global()
       .histogram("spiv_validation_seconds{engine=\"" + to_string(engine) +
                  "\"}")

@@ -11,9 +11,14 @@
 // procedures with deliberately different algorithmic profiles, mirroring
 // the validators compared in the paper's Fig. 3:
 //
-//   Sylvester     — leading principal minors (the paper's fastest method);
-//   SympyGauss    — fraction-free (Bareiss) elimination without
-//                   renormalization, SymPy-is_positive_definite style;
+//   Sylvester     — leading principal minors (the paper's fastest method),
+//                   decided over the integers: denominators are cleared
+//                   once (a positive scale keeps every minor's sign) and
+//                   fraction-free Bareiss without row swaps yields the
+//                   minors as pivots, with exact divisions and no gcd;
+//   SympyGauss    — fraction-free (Bareiss) elimination over Rational
+//                   without renormalization, SymPy-is_positive_definite
+//                   style;
 //   Ldlt          — exact LDL^T pivots;
 //   SmtZ3Style    — SMT-flavoured: numerically-guided counter-model search
 //                   first (cheap Invalid answers with an exact witness),
@@ -87,7 +92,10 @@ struct LyapunovValidation {
 
 /// Exact-rationalize A, round candidate P to `digits` significant decimal
 /// figures (paper protocol; digits = 0 keeps the binary-exact value), and
-/// validate both Lyapunov conditions with the chosen engine.
+/// validate both Lyapunov conditions with the chosen engine.  Both matrices
+/// are built in integer arithmetic as positive multiples of sym(P) and
+/// -(A^T sym(P) + sym(P) A); engines other than plain Sylvester receive
+/// the value-identical rational matrices.
 [[nodiscard]] LyapunovValidation validate_lyapunov(
     const numeric::Matrix& a, const numeric::Matrix& p, Engine engine,
     int digits = 10, const CheckOptions& options = {});

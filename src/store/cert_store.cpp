@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "core/env.hpp"
+#include "exact/timeout.hpp"
 
 namespace spiv::store {
 
@@ -115,9 +116,9 @@ void CertStore::insert_negative(const std::string& key,
   NegativeEntry entry;
   entry.reason = reason;
   entry.budget_seconds = budget_seconds;
-  entry.expires = std::chrono::steady_clock::now() +
-                  std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                      std::chrono::duration<double>(ttl_seconds));
+  // Saturated: --neg-ttl accepts TTLs up to 1e18 s.
+  entry.expires = saturating_add(std::chrono::steady_clock::now(),
+                                 std::chrono::duration<double>(ttl_seconds));
   // Keep the more general entry: a live budget-independent failure already
   // shields everything a budget-bound one would, so only refresh its expiry.
   auto it = shard.negatives.find(key);

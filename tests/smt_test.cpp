@@ -168,6 +168,19 @@ TEST(ValidateLyapunov, RejectsWrongCandidate) {
   EXPECT_EQ(v2.decrease.outcome, Outcome::Invalid);
 }
 
+TEST(ValidateLyapunov, JudgesAsymmetricCandidatesBySymmetricPart) {
+  // The quadratic form of P is that of sym(P).  Here P's own leading
+  // minors are 1, 1, but sym(P) = [[1, 1], [1, 1]] is singular, so both
+  // conditions (the Lie matrix is 2 sym(P) for A = -I) must fail.
+  numeric::Matrix a = numeric::Matrix::diagonal(numeric::Vector{-1, -1});
+  numeric::Matrix p{{1, 2}, {0, 1}};
+  for (Engine e : kAllEngines) {
+    auto v = validate_lyapunov(a, p, e, 10);
+    EXPECT_EQ(v.positivity.outcome, Outcome::Invalid) << to_string(e);
+    EXPECT_EQ(v.decrease.outcome, Outcome::Invalid) << to_string(e);
+  }
+}
+
 TEST(ValidateLyapunov, RoundingDigitsMatter) {
   // A candidate that is PD but extremely close to singular: coarse
   // rounding can flip the verdict (the paper's robustness experiment).

@@ -386,6 +386,18 @@ TEST(CertStoreNegative, EntriesExpireAfterTheTtl) {
   EXPECT_EQ(store.stats().negative_writes, 1u);
 }
 
+TEST(CertStoreNegative, HugeTtlsSaturateInsteadOfExpiringAtOnce) {
+  // --neg-ttl accepts up to 1e18 s; a TTL past the steady_clock range must
+  // mean "effectively never expires", not overflow into a past expiry.
+  TempDir dir{"neghuge"};
+  CertStore store{dir.path()};
+  for (double ttl : {1e10, 1e18}) {
+    const std::string key = "huge" + std::to_string(ttl);
+    store.insert_negative(key, "synth-failed", 0.0, ttl);
+    EXPECT_TRUE(store.lookup_negative(key, 1.0).has_value()) << "ttl " << ttl;
+  }
+}
+
 TEST(CertStoreNegative, TimeoutEntriesShieldOnlySmallerOrEqualBudgets) {
   TempDir dir{"negbudget"};
   CertStore store{dir.path()};

@@ -9,11 +9,13 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
+#include <vector>
 
 #include "model/reduction.hpp"
 #include "model/serialize.hpp"
@@ -265,20 +267,32 @@ TEST_F(VerifyPipelineTest, BudgetPolicySemantics) {
   // burn up to 3T).  Under SharedBudget the stages draw from one deadline;
   // under SplitBudget the validation clock must not start until synthesis
   // has finished.  Calibrate a workload where both stages take comparable,
-  // measurable time (LMI synthesis and Sylvester validation at size18 each
-  // take ~2 s on a 4-core Xeon), then observe both policies.
+  // measurable time (LMI synthesis and exact LDL^T validation at size18
+  // each take ~2 s on a 4-core Xeon; the integer Sylvester engine needs
+  // only ~30 ms there), then observe both policies.
   verify::VerifyContext ctx;
   verify::VerifyRequest req;
   req.a = closed_a("size18");
   req.method = lyap::Method::Lmi;
   req.backend = sdp::Backend::NewtonAnalyticCenter;
-  req.engine = smt::Engine::Sylvester;
+  req.engine = smt::Engine::Ldlt;
   req.digits = 10;
   req.budget = verify::SharedBudget{600.0};
-  const verify::VerifyOutcome calib = verify::run_verify(ctx, req);
-  ASSERT_EQ(calib.status, verify::Status::Valid);
-  const double s = calib.synth_seconds;
-  const double v = calib.validate_seconds;
+  // Median of three calibration runs: on a shared host two identical runs
+  // can differ by a third, and one slow calibration lets the timed shared
+  // run fit inside s + v/2.
+  std::vector<double> synth;
+  std::vector<double> validate;
+  for (int run = 0; run < 3; ++run) {
+    const verify::VerifyOutcome calib = verify::run_verify(ctx, req);
+    ASSERT_EQ(calib.status, verify::Status::Valid);
+    synth.push_back(calib.synth_seconds);
+    validate.push_back(calib.validate_seconds);
+  }
+  std::sort(synth.begin(), synth.end());
+  std::sort(validate.begin(), validate.end());
+  const double s = synth[1];
+  const double v = validate[1];
 
   // SharedBudget{s + v/2}: synthesis spends s, validation gets only v/2 of
   // the v it needs and must time out — and the whole request stays under
