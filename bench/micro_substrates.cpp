@@ -216,7 +216,7 @@ void BM_LmiNewtonSolve(benchmark::State& state) {
     benchmark::DoNotOptimize(
         sdp::solve_lmi(problem, sdp::Backend::NewtonAnalyticCenter));
 }
-BENCHMARK(BM_LmiNewtonSolve)->Arg(6)->Arg(13);
+BENCHMARK(BM_LmiNewtonSolve)->Arg(6)->Arg(13)->Arg(21);
 
 void BM_SylvesterValidation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -21,7 +21,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -32,22 +34,45 @@ namespace spiv::sdp {
 
 /// Affine symmetric-matrix-valued function F(p) = F0 + sum_k p_k Fk.
 /// All matrices must be symmetric and share one dimension.
+///
+/// Each coefficient is stored once, sparse: its nonzeros as row-major
+/// (row, col, value) triplets, exact zeros skipped, plus the sorted set of
+/// columns that hold a nonzero.  The Lyapunov pencils are mostly zeros
+/// (±E_k holds 2 entries, the Lie-block coefficients only rows and
+/// columns p, q), and the barrier's Newton assembly follows that pattern.
 class MatrixPencil {
  public:
+  struct Entry {
+    std::uint32_t row;
+    std::uint32_t col;
+    double value;
+  };
+
   MatrixPencil(numeric::Matrix f0, std::vector<numeric::Matrix> coeffs);
 
   [[nodiscard]] std::size_t dim() const { return f0_.rows(); }
-  [[nodiscard]] std::size_t num_vars() const { return coeffs_.size(); }
+  [[nodiscard]] std::size_t num_vars() const { return entry_start_.size() - 1; }
   [[nodiscard]] const numeric::Matrix& constant() const { return f0_; }
-  [[nodiscard]] const numeric::Matrix& coeff(std::size_t k) const {
-    return coeffs_[k];
+  /// Nonzeros of coefficient k in row-major order.
+  [[nodiscard]] std::span<const Entry> entries(std::size_t k) const {
+    return {entries_.data() + entry_start_[k],
+            entries_.data() + entry_start_[k + 1]};
+  }
+  /// Ascending columns of coefficient k that hold a nonzero.
+  [[nodiscard]] std::span<const std::uint32_t> columns(std::size_t k) const {
+    return {cols_.data() + col_start_[k], cols_.data() + col_start_[k + 1]};
   }
 
   [[nodiscard]] numeric::Matrix evaluate(const numeric::Vector& p) const;
 
  private:
   numeric::Matrix f0_;
-  std::vector<numeric::Matrix> coeffs_;
+  std::vector<Entry> entries_;       ///< every coefficient's triplets
+  std::vector<std::uint32_t> cols_;  ///< every coefficient's columns
+  /// Coefficient k owns entries_[entry_start_[k], entry_start_[k + 1]) and
+  /// cols_[col_start_[k], col_start_[k + 1]).
+  std::vector<std::size_t> entry_start_;
+  std::vector<std::size_t> col_start_;
 };
 
 /// Feasibility problem: find p with F_j(p) > 0 (strictly) for all j.

@@ -33,15 +33,15 @@ class ServiceTest : public ::testing::Test {
            ("spiv_service_test_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    // Export the size-3, size-5 and size-18 benchmark cases once.
+    // Export the size-3, size-5 and size-10i benchmark cases once.
     for (const auto& bm : model::benchmark_family())
-      if (bm.name == "size3" || bm.name == "size5" || bm.name == "size18") {
+      if (bm.name == "size3" || bm.name == "size5" || bm.name == "size10i") {
         std::ofstream out{case_path(bm.name)};
         model::write_case(out, bm);
       }
     ASSERT_TRUE(fs::exists(case_path()));
     ASSERT_TRUE(fs::exists(case_path("size5")));
-    ASSERT_TRUE(fs::exists(case_path("size18")));
+    ASSERT_TRUE(fs::exists(case_path("size10i")));
   }
   void TearDown() override {
     std::error_code ec;
@@ -210,15 +210,17 @@ TEST_F(ServiceTest, StatsLineReflectsStoreCounters) {
 TEST_F(ServiceTest, TimeoutBudgetIsSharedBetweenSynthesisAndValidation) {
   // Regression test for the deadline double-spend: synthesis and validation
   // used to each mint a FRESH `timeout_s` deadline, so a request declaring
-  // a budget T could run for up to 2T.  The workload (LMI synthesis on
-  // size18, validated by the exact rational LDL^T engine at digits 10)
-  // takes roughly equal time in both stages (~2 s each on a 4-core Xeon),
-  // which makes the two behaviours observable: with one shared deadline,
-  // validation only gets what synthesis left and times out; with a fresh
-  // deadline it would finish and answer `valid`.  (The integer Sylvester
-  // engine validates size18 in ~30 ms, too fast to discriminate.)
+  // a budget T could run for up to 2T.  The workload (short-step LMI
+  // synthesis on size10i, validated by the characteristic-polynomial
+  // smt-z3 engine at digits 4) takes roughly equal time in both stages
+  // (~1 s each on a 4-core Xeon), which makes the two behaviours
+  // observable: with one shared deadline, validation only gets what
+  // synthesis left and times out; with a fresh deadline it would finish
+  // and answer `valid`.  (Size18 newton-ac synthesis is too fast next to
+  // LDL^T validation to clear the s >= 0.6 v guard below, and the integer
+  // Sylvester engine validates size18 in ~30 ms.)
   const std::string cmd =
-      "verify " + case_path("size18") + " 0 LMI newton-ac ldlt 10";
+      "verify " + case_path("size10i") + " 0 LMI short-ipm smt-z3 4";
 
   // Calibrate on this machine under a generous budget.  Take the median of
   // three runs: on a shared host two identical runs can differ by a third,
