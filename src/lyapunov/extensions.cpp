@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <random>
-#include <stdexcept>
 
 #include "numeric/eigen.hpp"
 #include "sdp/lyapunov_lmi.hpp"
@@ -18,48 +17,9 @@ using numeric::Vector;
 
 std::optional<Candidate> synthesize_common(
     const std::vector<Matrix>& mode_matrices, const SynthesisOptions& options) {
-  if (mode_matrices.empty())
-    throw std::invalid_argument("synthesize_common: no modes");
-  const std::size_t n = mode_matrices.front().rows();
-  for (const auto& a : mode_matrices)
-    if (!a.is_square() || a.rows() != n)
-      throw std::invalid_argument("synthesize_common: shape mismatch");
   const auto start = std::chrono::steady_clock::now();
-
-  const std::size_t big_k = n * (n + 1) / 2;
-  std::vector<Matrix> basis;
-  basis.reserve(big_k);
-  for (std::size_t k = 0; k < big_k; ++k)
-    basis.push_back(sdp::vech_basis_matrix(k, n));
-
-  sdp::LmiProblem problem;
-  problem.num_vars = big_k;
-  // P > nu I.
-  {
-    Matrix f0{n, n};
-    for (std::size_t i = 0; i < n; ++i) f0(i, i) = -options.nu;
-    problem.constraints.emplace_back(std::move(f0), basis);
-  }
-  // kappa I - P > 0.
-  {
-    Matrix f0 = Matrix::identity(n) * options.kappa;
-    std::vector<Matrix> neg;
-    neg.reserve(big_k);
-    for (const auto& e : basis) neg.push_back(-e);
-    problem.constraints.emplace_back(std::move(f0), std::move(neg));
-  }
-  // Per mode: -(A_i^T P + P A_i) - alpha P > 0.
-  for (const Matrix& a : mode_matrices) {
-    const Matrix at = a.transposed();
-    std::vector<Matrix> coeffs;
-    coeffs.reserve(big_k);
-    for (const auto& e : basis) {
-      Matrix c = -(at * e) - e * a;
-      if (options.alpha != 0.0) c -= options.alpha * e;
-      coeffs.push_back(std::move(c));
-    }
-    problem.constraints.emplace_back(Matrix{n, n}, std::move(coeffs));
-  }
+  const sdp::LmiProblem problem = sdp::make_lyapunov_lmi(
+      mode_matrices, {options.alpha, options.nu, options.kappa});
 
   sdp::LmiOptions lmi_options;
   lmi_options.deadline = options.deadline;
@@ -67,7 +27,7 @@ std::optional<Candidate> synthesize_common(
   if (!sol.feasible) return std::nullopt;
   Candidate c;
   c.method = Method::Lmi;
-  c.p = sdp::unvech_double(sol.p, n);
+  c.p = sdp::unvech_double(sol.p, mode_matrices.front().rows());
   c.synth_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -21,8 +21,10 @@ namespace spiv::lyap {
 
 /// Synthesize one P with P > 0 and A_i^T P + P A_i < 0 for every mode
 /// matrix in `mode_matrices` (common quadratic Lyapunov function for the
-/// switched *linear* dynamics).  Returns nullopt when the LMI is
-/// infeasible within the budget.
+/// switched *linear* dynamics) through sdp::make_lyapunov_lmi.  Returns
+/// nullopt when the LMI is infeasible within the budget; throws
+/// std::invalid_argument on an empty list, mismatched shapes or
+/// kappa <= nu.
 [[nodiscard]] std::optional<Candidate> synthesize_common(
     const std::vector<numeric::Matrix>& mode_matrices,
     const SynthesisOptions& options = {});

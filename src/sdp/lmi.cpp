@@ -1,7 +1,6 @@
 #include "sdp/lmi.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -14,49 +13,73 @@ namespace spiv::sdp {
 using numeric::Matrix;
 using numeric::Vector;
 
-MatrixPencil::MatrixPencil(Matrix f0, std::vector<Matrix> coeffs)
-    : f0_(std::move(f0)) {
-  if (!f0_.is_square())
+namespace {
+
+void check_dimension(const Matrix& f0) {
+  if (!f0.is_square())
     throw std::invalid_argument("MatrixPencil: F0 must be square");
-  if (f0_.rows() > std::numeric_limits<std::uint32_t>::max())
+  if (f0.rows() > std::numeric_limits<std::uint32_t>::max())
     throw std::invalid_argument("MatrixPencil: dimension exceeds 32 bits");
+}
+
+}  // namespace
+
+MatrixPencil::MatrixPencil(Matrix f0, std::vector<Matrix> coeffs)
+    : f0_(std::move(f0)), d_(Matrix::identity(f0_.rows())), identity_(true) {
+  check_dimension(f0_);
   const std::size_t n = f0_.rows();
-  std::size_t nonzeros = 0;
+  term_start_.reserve(coeffs.size() + 1);
+  term_start_.push_back(0);
   for (const auto& c : coeffs) {
     if (c.rows() != n || c.cols() != n)
       throw std::invalid_argument("MatrixPencil: coefficient shape mismatch");
-    nonzeros += n * n - std::count(c.data().begin(), c.data().end(), 0.0);
-  }
-  entries_.reserve(nonzeros);
-  entry_start_.reserve(coeffs.size() + 1);
-  col_start_.reserve(coeffs.size() + 1);
-  entry_start_.push_back(0);
-  col_start_.push_back(0);
-  std::vector<bool> used(n);
-  for (const auto& c : coeffs) {
-    used.assign(n, false);
+    if (!c.is_symmetric(0.0))
+      throw std::invalid_argument("MatrixPencil: coefficient not symmetric");
     for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        if (c(i, j) != 0.0) {
-          entries_.push_back({static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(j), c(i, j)});
-          used[j] = true;
-        }
-    for (std::size_t j = 0; j < n; ++j)
-      if (used[j]) cols_.push_back(static_cast<std::uint32_t>(j));
-    entry_start_.push_back(entries_.size());
-    col_start_.push_back(cols_.size());
+      for (std::size_t j = i; j < n; ++j)
+        if (c(i, j) != 0.0)
+          terms_.push_back({static_cast<std::uint32_t>(i),
+                            static_cast<std::uint32_t>(j),
+                            i == j ? 0.5 * c(i, i) : c(i, j)});
+    owner_.resize(terms_.size(), static_cast<std::uint32_t>(num_vars()));
+    term_start_.push_back(terms_.size());
+  }
+}
+
+MatrixPencil::MatrixPencil(Matrix f0, Matrix dictionary,
+                           const std::vector<std::vector<Term>>& terms)
+    : f0_(std::move(f0)), d_(std::move(dictionary)) {
+  check_dimension(f0_);
+  const std::size_t n = f0_.rows();
+  if (d_.rows() != n)
+    throw std::invalid_argument("MatrixPencil: dictionary row mismatch");
+  identity_ = d_.is_square() && (d_ - Matrix::identity(n)).max_abs() == 0.0;
+  term_start_.reserve(terms.size() + 1);
+  term_start_.push_back(0);
+  for (const auto& coeff : terms) {
+    for (const Term& t : coeff) {
+      if (t.p >= n || t.j >= d_.cols())
+        throw std::invalid_argument("MatrixPencil: term index out of range");
+      terms_.push_back(t);
+    }
+    owner_.resize(terms_.size(), static_cast<std::uint32_t>(num_vars()));
+    term_start_.push_back(terms_.size());
   }
 }
 
 Matrix MatrixPencil::evaluate(const Vector& p) const {
   if (p.size() != num_vars())
     throw std::invalid_argument("MatrixPencil: wrong number of variables");
-  Matrix out = f0_;
+  // sum_k p_k F_k = X + X^T with X = C D^T, C(p, j) = sum of p_k w.
+  Matrix c{dim(), d_.cols()};
   for (std::size_t k = 0; k < p.size(); ++k) {
     if (p[k] == 0.0) continue;
-    for (const Entry& e : entries(k)) out(e.row, e.col) += p[k] * e.value;
+    for (const Term& t : terms(k)) c(t.p, t.j) += p[k] * t.w;
   }
+  const Matrix x = identity_ ? c : c * d_.transposed();
+  Matrix out = f0_;
+  for (std::size_t i = 0; i < dim(); ++i)
+    for (std::size_t l = 0; l < dim(); ++l) out(i, l) += x(i, l) + x(l, i);
   return out;
 }
 
@@ -98,143 +121,126 @@ namespace {
 /// Strict positive-definiteness probe via Cholesky (cheap and robust).
 bool is_pd(const Matrix& m) { return m.cholesky().has_value(); }
 
-/// The derivative matrices W_x = G^{-1} D_x of one block G = F(p) - t I,
-/// for every variable x: the p_k (D_k = F_k) and then the slack t
-/// (D_t = -I).  W_x is zero outside the columns where D_x holds a nonzero,
-/// so only those columns cols(x) are stored, transposed: row r of the
-/// stored block is column cols(x)[r] of W_x.  Terms dropped anywhere below
-/// are exact zeros and every kept sum runs in the order of the dense
-/// assembly, so gradient and Hessian equal the dense ones bit for bit.
-class BlockDerivatives {
- public:
-  /// Form every W_x for `pencil` from G^{-1}.  Each entry of W_k sums
-  /// G^{-1}(i, l) F_k(l, j) over F_k's nonzeros in ascending l, the order
-  /// of the dense product.
-  void form(const MatrixPencil& pencil, const Matrix& ginv) {
-    n_ = ginv.rows();
-    const std::size_t big_k = pencil.num_vars();
-    every_col_.resize(n_);
-    for (std::size_t j = 0; j < n_; ++j)
-      every_col_[j] = static_cast<std::uint32_t>(j);
-    cols_.resize(big_k + 1);
-    start_.resize(big_k + 2);
-    start_[0] = 0;
-    for (std::size_t k = 0; k < big_k; ++k) {
-      // A coefficient holding more than half the columns is stored over
-      // all of them (the added ones hold exact zeros), so its pairs take
-      // the 4-way dense traces.
-      const auto cols = pencil.columns(k);
-      cols_[k] = 2 * cols.size() > n_ ? std::span{every_col_} : cols;
-      start_[k + 1] = start_[k] + cols_[k].size() * n_;
+/// The shifted block G = F(p) - t I.
+Matrix shifted_block(const MatrixPencil& pencil, const Vector& p, double t) {
+  Matrix g = pencil.evaluate(p);
+  for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) -= t;
+  return g;
+}
+
+/// Add one block's barrier gradient and Hessian for G = F(p) - t I, given
+/// S = sym(G^{-1}).  The variables are the p_k (dG = F_k) and then the
+/// slack t (dG = -I); the gradient is -tr(S dG_a) and the Hessian
+/// tr(S dG_a S dG_b), accumulated into the upper triangle of `hess`.  Over
+/// the factored terms, with SD = S D and Gamma = D^T S D:
+///   tr(S F_a)         = sum_tau 2 w SD(p, j),
+///   tr(S F_a S F_b)   = 2 sum_{tau in a, sigma in b} w_tau w_sigma
+///                       [SD(p_tau, j_sigma) SD(p_sigma, j_tau)
+///                        + S(p_tau, p_sigma) Gamma(j_tau, j_sigma)],
+///   tr(S F_a S (-I))  = -sum_tau 2 w (S SD)(p, j),
+///   tr(S (-I) S (-I)) = ||S||_F^2.
+void accumulate_block(const MatrixPencil& pencil, const Matrix& s,
+                      Vector& grad, Matrix& hess) {
+  const std::size_t n = s.rows();
+  const std::size_t big_k = pencil.num_vars();
+  const bool identity = pencil.identity_dictionary();
+  const Matrix sd = identity ? s : s * pencil.dictionary();
+  const Matrix gamma =
+      identity ? s : pencil.dictionary().transposed() * sd;
+  const Matrix ssd = s * sd;
+
+  for (std::size_t a = 0; a < big_k; ++a) {
+    const auto ta = pencil.terms(a);
+    if (ta.empty()) continue;
+    double g = 0.0;
+    double h_t = 0.0;
+    for (const auto& x : ta) {
+      g += 2.0 * x.w * sd(x.p, x.j);
+      h_t += 2.0 * x.w * ssd(x.p, x.j);
     }
-    cols_[big_k] = every_col_;
-    start_[big_k + 1] = start_[big_k] + n_ * n_;
-    wt_.assign(start_[big_k + 1], 0.0);
-
-    const Matrix ginv_t = ginv.transposed();  // row l = column l of G^{-1}
-    slot_.resize(n_);
-    for (std::size_t k = 0; k < big_k; ++k) {
-      for (std::size_t r = 0; r < cols_[k].size(); ++r) slot_[cols_[k][r]] = r;
-      double* w = wt_.data() + start_[k];
-      for (const MatrixPencil::Entry& e : pencil.entries(k)) {
-        const double* g = ginv_t.data().data() + e.row * n_;
-        double* row = w + slot_[e.col] * n_;
-        for (std::size_t i = 0; i < n_; ++i) row[i] += g[i] * e.value;
-      }
-    }
-    // W_t = -G^{-1}, so W_t^T = -(G^{-1})^T.
-    double* w = wt_.data() + start_[big_k];
-    for (std::size_t e = 0; e < n_ * n_; ++e) w[e] = -ginv_t.data()[e];
-  }
-
-  /// Add this block's barrier gradient -tr(W_a) and Hessian tr(W_a W_b).
-  void accumulate(Vector& grad, Matrix& hess) {
-    const std::size_t nx = cols_.size();
-    for (std::size_t a = 0; a < nx; ++a) {
-      // tr(W_a): the diagonal is zero outside cols(a).
-      double tr = 0.0;
-      for (std::size_t r = 0; r < cols_[a].size(); ++r)
-        tr += wt(a)[r * n_ + cols_[a][r]];
-      grad[a] -= tr;
-
-      const bool dense_a = is_dense(a);
-      if (dense_a) {
-        // Row-major W_a: against W_b^T, tr(W_a W_b) is a flat dot product.
-        wa_.resize(n_ * n_);
-        for (std::size_t i = 0; i < n_; ++i)
-          for (std::size_t j = 0; j < n_; ++j)
-            wa_[i * n_ + j] = wt(a)[j * n_ + i];
-      }
-      std::size_t b = a;
-      while (b < nx) {
-        if (dense_a && b + 4 <= nx && is_dense(b) && is_dense(b + 1) &&
-            is_dense(b + 2) && is_dense(b + 3)) {
-          const std::array<double, 4> tr4 = dense_traces4(b);
-          for (std::size_t q = 0; q < 4; ++q) add(hess, a, b + q, tr4[q]);
-          b += 4;
-        } else {
-          add(hess, a, b, sparse_trace(a, b));
-          ++b;
-        }
+    grad[a] -= g;
+    hess(a, big_k) -= h_t;
+    // Row a of the upper triangle: one flat pass over the terms of every
+    // coefficient b >= a per term of a.
+    const auto rest = pencil.terms_from(a);
+    const auto owner = pencil.owners_from(a);
+    double* row = &hess(a, 0);
+    for (const auto& x : ta) {
+      const double wx = 2.0 * x.w;
+      const double* sd_p = sd.data().data() + x.p * sd.cols();
+      const double* s_p = s.data().data() + x.p * n;
+      const double* gamma_j = gamma.data().data() + x.j * gamma.cols();
+      for (std::size_t r = 0; r < rest.size(); ++r) {
+        const auto& y = rest[r];
+        row[owner[r]] += wx * y.w *
+                         (sd_p[y.j] * sd(y.p, x.j) + s_p[y.p] * gamma_j[y.j]);
       }
     }
   }
+  double tr = 0.0;
+  double frob = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    tr += s(i, i);
+    for (std::size_t j = 0; j < n; ++j) frob += s(i, j) * s(i, j);
+  }
+  grad[big_k] += tr;
+  hess(big_k, big_k) += frob;
+}
 
- private:
-  [[nodiscard]] const double* wt(std::size_t x) const {
-    return wt_.data() + start_[x];
-  }
-  [[nodiscard]] bool is_dense(std::size_t x) const {
-    return cols_[x].size() == n_;
-  }
-  static void add(Matrix& hess, std::size_t a, std::size_t b, double hab) {
-    hess(a, b) += hab;
-    if (b != a) hess(b, a) += hab;
-  }
-
-  /// tr(W_a W_b) = sum_i sum_j W_a(i, j) W_b(j, i) over the only terms that
-  /// can be nonzero, j in cols(a) and i in cols(b), in dense (i, j) order.
-  [[nodiscard]] double sparse_trace(std::size_t a, std::size_t b) const {
-    const auto ca = cols_[a];
-    const auto cb = cols_[b];
-    const double* wa = wt(a);
-    const double* wb = wt(b);
-    double acc = 0.0;
-    for (std::size_t rb = 0; rb < cb.size(); ++rb)
-      for (std::size_t ra = 0; ra < ca.size(); ++ra)
-        acc += wa[ra * n_ + cb[rb]] * wb[rb * n_ + ca[ra]];
-    return acc;
-  }
-
-  /// tr(W_a W_{b+q}) for q = 0..3 with every W dense: the row-major W_a in
-  /// `wa_` walks the four W_b^T at once, one accumulator each, each in
-  /// dense (i, j) order.
-  [[nodiscard]] std::array<double, 4> dense_traces4(std::size_t b) const {
-    const double* w0 = wt(b);
-    const double* w1 = wt(b + 1);
-    const double* w2 = wt(b + 2);
-    const double* w3 = wt(b + 3);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (std::size_t e = 0; e < n_ * n_; ++e) {
-      const double x = wa_[e];
-      s0 += x * w0[e];
-      s1 += x * w1[e];
-      s2 += x * w2[e];
-      s3 += x * w3[e];
+/// Solve H x = b for a symmetric positive-definite H given by its upper
+/// triangle.  H = U^T U overwrites that triangle (row-oriented right-looking
+/// Cholesky) and x overwrites b.  False when a pivot is not positive.
+bool cholesky_solve(Matrix& h, Vector& b) {
+  const std::size_t n = h.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    double* uj = &h(j, 0);
+    if (!(uj[j] > 0.0)) return false;
+    uj[j] = std::sqrt(uj[j]);
+    const double inv = 1.0 / uj[j];
+    for (std::size_t k = j + 1; k < n; ++k) uj[k] *= inv;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      const double f = uj[i];
+      double* ui = &h(i, 0);
+      // Unrolled by four so the compiler pairs the updates into vector
+      // instructions at -O2.
+      std::size_t k = i;
+      for (; k + 4 <= n; k += 4) {
+        ui[k] -= f * uj[k];
+        ui[k + 1] -= f * uj[k + 1];
+        ui[k + 2] -= f * uj[k + 2];
+        ui[k + 3] -= f * uj[k + 3];
+      }
+      for (; k < n; ++k) ui[k] -= f * uj[k];
     }
-    return {s0, s1, s2, s3};
   }
-
-  std::size_t n_ = 0;
-  std::vector<std::uint32_t> every_col_;              ///< 0..n-1
-  std::vector<std::span<const std::uint32_t>> cols_;  ///< cols(x)
-  std::vector<std::size_t> start_;  ///< x's stored block at wt_[start_[x]]
-  std::vector<double> wt_;          ///< every W_x^T over cols(x)
-  std::vector<std::size_t> slot_;   ///< column -> row of W_k^T while forming
-  std::vector<double> wa_;          ///< row-major W_a for the dense traces
-};
+  for (std::size_t i = 0; i < n; ++i) {  // U^T y = b
+    b[i] /= h(i, i);
+    for (std::size_t k = i + 1; k < n; ++k) b[k] -= h(i, k) * b[i];
+  }
+  for (std::size_t i = n; i-- > 0;) {  // U x = y
+    double acc = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= h(i, k) * b[k];
+    b[i] = acc / h(i, i);
+  }
+  return true;
+}
 
 }  // namespace
+
+std::optional<BarrierDerivatives> barrier_derivatives(const LmiProblem& problem,
+                                                      const Vector& p,
+                                                      double t) {
+  const std::size_t nx = problem.num_vars + 1;
+  BarrierDerivatives d{Vector(nx, 0.0), Matrix{nx, nx}};
+  for (const auto& pencil : problem.constraints) {
+    auto ginv = shifted_block(pencil, p, t).inverse();
+    if (!ginv) return std::nullopt;
+    accumulate_block(pencil, ginv->symmetrized(), d.grad, d.hess);
+  }
+  for (std::size_t i = 0; i < nx; ++i)
+    for (std::size_t j = 0; j < i; ++j) d.hess(i, j) = d.hess(j, i);
+  return d;
+}
 
 LmiSolution solve_lmi_barrier(const LmiProblem& problem,
                               const LmiOptions& options, BarrierMode mode) {
@@ -250,21 +256,15 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
   Vector p(big_k, 0.0);
   double t = problem.min_eigenvalue(p) - 1.0;
 
-  // Shifted blocks G_j(p, t) = F_j(p) - t I.
-  auto eval_block = [&problem](std::size_t j, const Vector& pp, double tt) {
-    Matrix g = problem.constraints[j].evaluate(pp);
-    for (std::size_t i = 0; i < g.rows(); ++i) g(i, i) -= tt;
-    return g;
-  };
   auto all_pd = [&](const Vector& pp, double tt) {
-    for (std::size_t j = 0; j < problem.constraints.size(); ++j)
-      if (!is_pd(eval_block(j, pp, tt))) return false;
+    for (const auto& pencil : problem.constraints)
+      if (!is_pd(shifted_block(pencil, pp, tt))) return false;
     return true;
   };
   auto barrier_value = [&](const Vector& pp, double tt) {
     double phi = 0.0;
-    for (std::size_t j = 0; j < problem.constraints.size(); ++j) {
-      auto chol = eval_block(j, pp, tt).cholesky();
+    for (const auto& pencil : problem.constraints) {
+      auto chol = shifted_block(pencil, pp, tt).cholesky();
       if (!chol) return std::numeric_limits<double>::infinity();
       for (std::size_t i = 0; i < chol->rows(); ++i)
         phi -= 2.0 * std::log((*chol)(i, i));
@@ -284,29 +284,27 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
   // Short-step mode caps the damped-Newton step fraction.
   const double max_step = short_step ? 0.18 : 1.0;
 
-  BlockDerivatives w;
   int iters = 0;
   for (int outer = 0; outer < max_outer; ++outer) {
     for (int inner = 0; inner < options.max_iterations; ++inner) {
       options.deadline.check();
       ++iters;
       // Gradient and Hessian of phi_mu = -mu t + barrier over x = (p, t).
-      Vector grad(nx, 0.0);
-      grad[big_k] = -mu;
-      Matrix hess{nx, nx};
-      for (std::size_t j = 0; j < problem.constraints.size(); ++j) {
-        auto ginv = eval_block(j, p, t).inverse();
-        if (!ginv) return sol;  // numerically on the boundary
-        w.form(problem.constraints[j], *ginv);
-        w.accumulate(grad, hess);
-      }
-      // Damped Newton step.
-      for (std::size_t i = 0; i < nx; ++i) hess(i, i) += 1e-12;
-      Vector neg_grad(nx);
-      for (std::size_t i = 0; i < nx; ++i) neg_grad[i] = -grad[i];
-      auto step_opt = hess.solve(neg_grad);
-      if (!step_opt) return sol;
-      const Vector& step = *step_opt;
+      auto derivatives = barrier_derivatives(problem, p, t);
+      if (!derivatives) return sol;  // numerically on the boundary
+      Vector& grad = derivatives->grad;
+      Matrix& hess = derivatives->hess;
+      grad[big_k] -= mu;
+      // Damped Newton step.  The diagonal shift is relative: the piecewise
+      // systems' diagonals span ~1e-6 to ~1e5, where an absolute 1e-12 is
+      // below roundoff.
+      double diag_max = 1.0;
+      for (std::size_t i = 0; i < nx; ++i)
+        diag_max = std::max(diag_max, hess(i, i));
+      for (std::size_t i = 0; i < nx; ++i) hess(i, i) += 1e-12 * diag_max;
+      Vector step(nx);
+      for (std::size_t i = 0; i < nx; ++i) step[i] = -grad[i];
+      if (!cholesky_solve(hess, step)) return sol;
 
       // Backtracking line search maintaining strict feasibility of the
       // shifted blocks and decreasing phi_mu.

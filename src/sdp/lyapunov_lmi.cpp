@@ -1,5 +1,6 @@
 #include "sdp/lyapunov_lmi.hpp"
 
+#include <cstdint>
 #include <stdexcept>
 
 namespace spiv::sdp {
@@ -45,51 +46,67 @@ Matrix unvech_double(const Vector& p, std::size_t n) {
   return out;
 }
 
-LmiProblem make_lyapunov_lmi(const Matrix& a, const LyapunovLmiConfig& config) {
-  if (!a.is_square())
-    throw std::invalid_argument("make_lyapunov_lmi: A must be square");
+LmiProblem make_lyapunov_lmi(std::span<const Matrix> modes,
+                             const LyapunovLmiConfig& config) {
+  if (modes.empty())
+    throw std::invalid_argument("make_lyapunov_lmi: no mode matrices");
+  const std::size_t n = modes.front().rows();
+  for (const Matrix& a : modes)
+    if (!a.is_square() || a.rows() != n)
+      throw std::invalid_argument(
+          "make_lyapunov_lmi: A must be square, one size for every mode");
   if (config.kappa <= config.nu)
     throw std::invalid_argument("make_lyapunov_lmi: need kappa > nu");
-  const std::size_t n = a.rows();
   const std::size_t big_k = n * (n + 1) / 2;
-  const Matrix at = a.transposed();
+  using Term = MatrixPencil::Term;
+  auto u32 = [](std::size_t v) { return static_cast<std::uint32_t>(v); };
 
-  std::vector<Matrix> basis;
-  basis.reserve(big_k);
-  for (std::size_t k = 0; k < big_k; ++k)
-    basis.push_back(vech_basis_matrix(k, n));
+  // sign * E_k over D = I: one term per vech entry (i, j), i >= j.
+  auto box_terms = [&](double sign) {
+    std::vector<std::vector<Term>> terms(big_k);
+    for (std::size_t k = 0; k < big_k; ++k) {
+      auto [i, j] = vech_position(k, n);
+      terms[k] = {{u32(i), u32(j), i == j ? 0.5 * sign : sign}};
+    }
+    return terms;
+  };
+  // L_k = -(A^T E_k + E_k A) - alpha E_k = -(D E_k + E_k D^T) over
+  // D = (A + alpha/2 I)^T, b_i = D e_i: -[sym(e_j, b_i) + sym(e_i, b_j)],
+  // or -sym(e_i, b_i) on the diagonal.
+  std::vector<std::vector<Term>> lie_terms(big_k);
+  for (std::size_t k = 0; k < big_k; ++k) {
+    auto [i, j] = vech_position(k, n);
+    if (i == j)
+      lie_terms[k] = {{u32(i), u32(i), -1.0}};
+    else
+      lie_terms[k] = {{u32(j), u32(i), -1.0}, {u32(i), u32(j), -1.0}};
+  }
+
+  auto diagonal = [n](double v) {
+    Matrix f0{n, n};
+    for (std::size_t i = 0; i < n; ++i) f0(i, i) = v;
+    return f0;
+  };
 
   LmiProblem problem;
   problem.num_vars = big_k;
-
   // P - nu*I > 0  (plain P > 0 when nu == 0).
-  {
-    Matrix f0{n, n};
-    for (std::size_t i = 0; i < n; ++i) f0(i, i) = -config.nu;
-    problem.constraints.emplace_back(std::move(f0), basis);
-  }
+  problem.constraints.emplace_back(diagonal(-config.nu), Matrix::identity(n),
+                                   box_terms(1.0));
   // kappa*I - P > 0.
-  {
-    Matrix f0{n, n};
-    for (std::size_t i = 0; i < n; ++i) f0(i, i) = config.kappa;
-    std::vector<Matrix> neg;
-    neg.reserve(big_k);
-    for (const auto& e : basis) neg.push_back(-e);
-    problem.constraints.emplace_back(std::move(f0), std::move(neg));
-  }
-  // -(A^T P + P A) - alpha P > 0.
-  {
-    Matrix f0{n, n};
-    std::vector<Matrix> coeffs;
-    coeffs.reserve(big_k);
-    for (const auto& e : basis) {
-      Matrix c = -(at * e) - e * a;
-      if (config.alpha != 0.0) c -= config.alpha * e;
-      coeffs.push_back(std::move(c));
-    }
-    problem.constraints.emplace_back(std::move(f0), std::move(coeffs));
+  problem.constraints.emplace_back(diagonal(config.kappa), Matrix::identity(n),
+                                   box_terms(-1.0));
+  // Per mode: -(A^T P + P A) - alpha P > 0.
+  for (const Matrix& a : modes) {
+    Matrix d = a.transposed();
+    for (std::size_t i = 0; i < n; ++i) d(i, i) += 0.5 * config.alpha;
+    problem.constraints.emplace_back(Matrix{n, n}, std::move(d), lie_terms);
   }
   return problem;
+}
+
+LmiProblem make_lyapunov_lmi(const Matrix& a, const LyapunovLmiConfig& config) {
+  return make_lyapunov_lmi(std::span{&a, 1}, config);
 }
 
 }  // namespace spiv::sdp

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <iomanip>
 #include <ostream>
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "lyapunov/piecewise.hpp"
 #include "model/engine.hpp"
@@ -189,11 +192,261 @@ TEST(Backends, LyapunovOnClosedLoopSizedProblem) {
 }
 
 // ---------------------------------------------------------------------------
+// Factored pencils.
+
+/// The dense coefficient F_k, recovered as F(e_k) - F(0).
+Matrix dense_coefficient(const MatrixPencil& pencil, std::size_t k) {
+  Vector e(pencil.num_vars(), 0.0);
+  e[k] = 1.0;
+  return pencil.evaluate(e) - pencil.constant();
+}
+
+/// Reference barrier derivatives from dense matrices: the gradient
+/// -tr(G^{-1} dG_a) and the Hessian tr(G^{-1} dG_a G^{-1} dG_b) summed over
+/// blocks, dG = F_k for the p_k and -I for the slack.
+BarrierDerivatives dense_barrier_derivatives(const LmiProblem& problem,
+                                             const Vector& p, double t) {
+  const std::size_t nx = problem.num_vars + 1;
+  BarrierDerivatives d{Vector(nx, 0.0), Matrix{nx, nx}};
+  for (const auto& pencil : problem.constraints) {
+    const std::size_t n = pencil.dim();
+    Matrix g = pencil.evaluate(p) - t * Matrix::identity(n);
+    const Matrix ginv = *g.inverse();
+    std::vector<Matrix> w;  // G^{-1} dG_x
+    for (std::size_t k = 0; k < problem.num_vars; ++k)
+      w.push_back(ginv * dense_coefficient(pencil, k));
+    w.push_back(-ginv);
+    for (std::size_t a = 0; a < nx; ++a) {
+      for (std::size_t i = 0; i < n; ++i) d.grad[a] -= w[a](i, i);
+      for (std::size_t b = 0; b < nx; ++b)
+        for (std::size_t i = 0; i < n; ++i)
+          for (std::size_t j = 0; j < n; ++j)
+            d.hess(a, b) += w[a](i, j) * w[b](j, i);
+    }
+  }
+  return d;
+}
+
+double max_abs(const Vector& v) {
+  double m = 0.0;
+  for (double x : v) m = std::max(m, std::abs(x));
+  return m;
+}
+
+/// Factored against dense derivatives at the barrier's starting point
+/// (p = 0, t one below the smallest eigenvalue) and at a centred point
+/// (the newton-ac solution, t at half its margin).  Errors are relative to
+/// the largest entry.
+void expect_derivatives_match_dense(const LmiProblem& problem,
+                                    const std::string& name) {
+  const Vector origin(problem.num_vars, 0.0);
+  const LmiSolution sol = solve_lmi(problem, Backend::NewtonAnalyticCenter);
+  ASSERT_TRUE(sol.feasible) << name;
+  const std::pair<Vector, double> points[] = {
+      {origin, problem.min_eigenvalue(origin) - 1.0},
+      {sol.p, 0.5 * sol.achieved_margin}};
+  for (const auto& [p, t] : points) {
+    const auto got = barrier_derivatives(problem, p, t);
+    ASSERT_TRUE(got.has_value()) << name;
+    const BarrierDerivatives want = dense_barrier_derivatives(problem, p, t);
+    Vector grad_err = got->grad;
+    for (std::size_t i = 0; i < grad_err.size(); ++i)
+      grad_err[i] -= want.grad[i];
+    EXPECT_LE(max_abs(grad_err), 1e-12 * max_abs(want.grad)) << name;
+    EXPECT_LE((got->hess - want.hess).max_abs(), 1e-12 * want.hess.max_abs())
+        << name;
+    EXPECT_TRUE(got->hess.is_symmetric(0.0)) << name;
+  }
+}
+
+/// Hand-built pencils through the dense constructor, shared by the
+/// derivative check and BarrierGolden.HandBuiltPencilsAreBitIdentical.
+LmiProblem hand_built_problem() {
+  // Four variables over three blocks.  Variable 0 has an all-zero
+  // coefficient everywhere (an empty pattern); variable 1 a fully dense
+  // one; variable 2 a full row and column 0 but one- or two-entry columns
+  // elsewhere (an arrowhead); variable 3 a two-entry basis matrix.  The
+  // upper block bounds the feasible set; the 1x1 block is dense by
+  // construction.
+  const std::size_t n = 5;
+  Matrix zero{n, n};
+  Matrix dense{n, n};
+  Matrix arrow{n, n};
+  Matrix basis{n, n};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j)
+      dense(i, j) = 1.0 / static_cast<double>(1 + i + j) - (i == j ? 0.7 : 0.0);
+    arrow(0, i) = arrow(i, 0) = i % 2 == 0 ? 0.5 : -1.0;
+    arrow(i, i) = 0.25;
+  }
+  basis(3, 4) = basis(4, 3) = 1.0;
+  LmiProblem problem;
+  problem.num_vars = 4;
+  problem.constraints.emplace_back(
+      Matrix::identity(n) * 2.0,
+      std::vector<Matrix>{zero, dense, arrow, basis});
+  problem.constraints.emplace_back(
+      Matrix::identity(n) * 3.0,
+      std::vector<Matrix>{-zero, -dense, -arrow, -basis});
+  problem.constraints.emplace_back(
+      Matrix{{1.0}}, std::vector<Matrix>{Matrix{{0.0}}, Matrix{{0.3}},
+                                         Matrix{{-0.2}}, Matrix{{0.0}}});
+  return problem;
+}
+
+TEST(FactoredPencil, DerivativesMatchDenseAssembly) {
+  const lyap::SynthesisOptions defaults;
+  for (const auto& bm : model::benchmark_family()) {
+    if (bm.name != "size3" && bm.name != "size5" && bm.name != "size10")
+      continue;
+    const Matrix a =
+        model::close_loop_single_mode(bm.plant, model::engine_gains_mode0()).a;
+    for (const LyapunovLmiConfig& config :
+         {LyapunovLmiConfig{0.0, 0.0, defaults.kappa},
+          LyapunovLmiConfig{defaults.alpha, defaults.nu, defaults.kappa}})
+      expect_derivatives_match_dense(
+          make_lyapunov_lmi(a, config),
+          bm.name + " alpha=" + std::to_string(config.alpha));
+  }
+  expect_derivatives_match_dense(hand_built_problem(), "hand-built");
+
+  // A general dictionary (4 x 3, no symmetry between S D and D^T S) with
+  // one- and two-term coefficients, as 2I + F(p) > 0 and 3I - F(p) > 0.
+  std::mt19937_64 rng{23};
+  std::normal_distribution<double> normal;
+  Matrix d{4, 3};
+  for (std::size_t i = 0; i < 4; ++i)
+    for (std::size_t j = 0; j < 3; ++j) d(i, j) = normal(rng);
+  using Term = MatrixPencil::Term;
+  const std::vector<std::vector<Term>> plus{
+      {{0, 2, 0.5}}, {{3, 0, -0.4}, {1, 1, 0.3}}, {{2, 2, 0.7}}};
+  std::vector<std::vector<Term>> minus = plus;
+  for (auto& coeff : minus)
+    for (auto& t : coeff) t.w = -t.w;
+  LmiProblem general;
+  general.num_vars = 3;
+  general.constraints.emplace_back(Matrix::identity(4) * 2.0, d, plus);
+  general.constraints.emplace_back(Matrix::identity(4) * 3.0, d, minus);
+  expect_derivatives_match_dense(general, "general dictionary");
+}
+
+TEST(FactoredPencil, CommonLyapunovProblemHasOneLieBlockPerMode) {
+  const Matrix a0{{-1, 2}, {0, -3}};
+  const Matrix a1{{-2, 0}, {1, -1}};
+  const std::vector<Matrix> modes{a0, a1};
+  const LmiProblem problem = make_lyapunov_lmi(modes, LyapunovLmiConfig{});
+  ASSERT_EQ(problem.constraints.size(), 4u);
+  const Vector p{0.3, -0.1, 0.2};
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Matrix single = make_lyapunov_lmi(modes[i], LyapunovLmiConfig{})
+                              .constraints[2]
+                              .evaluate(p);
+    EXPECT_EQ(problem.constraints[2 + i].evaluate(p).data(), single.data());
+  }
+  expect_derivatives_match_dense(problem, "common");
+  EXPECT_THROW(make_lyapunov_lmi(std::vector<Matrix>{}, LyapunovLmiConfig{}),
+               std::invalid_argument);
+  EXPECT_THROW(make_lyapunov_lmi(std::vector<Matrix>{a0, Matrix::identity(3)},
+                                 LyapunovLmiConfig{}),
+               std::invalid_argument);
+}
+
+TEST(FactoredPencil, EvaluateMatchesDenseLyapunovBlocks) {
+  std::mt19937_64 rng{17};
+  std::normal_distribution<double> normal;
+  for (std::size_t n : {1u, 4u, 9u}) {
+    Matrix a{n, n};
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) a(i, j) = normal(rng);
+    const LyapunovLmiConfig config{0.3, 0.01, 2.0};
+    const LmiProblem problem = make_lyapunov_lmi(a, config);
+    for (int trial = 0; trial < 5; ++trial) {
+      Vector p(problem.num_vars);
+      for (auto& v : p) v = normal(rng);
+      const Matrix pm = unvech_double(p, n);
+      const Matrix eye = Matrix::identity(n);
+      const Matrix want[] = {
+          pm - config.nu * eye,
+          config.kappa * eye - pm,
+          -(a.transposed() * pm + pm * a) - config.alpha * pm,
+      };
+      for (std::size_t b = 0; b < 3; ++b) {
+        const Matrix got = problem.constraints[b].evaluate(p);
+        EXPECT_TRUE(got.is_symmetric(0.0));
+        EXPECT_LE((got - want[b]).max_abs(), 1e-14 * (1.0 + want[b].max_abs()))
+            << "n=" << n << " block " << b;
+      }
+    }
+  }
+}
+
+TEST(FactoredPencil, RejectsMalformedTerms) {
+  using Term = MatrixPencil::Term;
+  const Matrix f0{2, 2};
+  const Matrix d{2, 3};
+  EXPECT_NO_THROW(MatrixPencil(f0, d, {{Term{1, 2, 1.0}}}));
+  EXPECT_THROW(MatrixPencil(f0, d, {{Term{2, 0, 1.0}}}), std::invalid_argument);
+  EXPECT_THROW(MatrixPencil(f0, d, {{}, {Term{0, 3, 1.0}}}),
+               std::invalid_argument);
+  EXPECT_THROW(MatrixPencil(f0, Matrix{3, 3}, {}), std::invalid_argument);
+  EXPECT_THROW(MatrixPencil(Matrix{2, 3}, d, {}), std::invalid_argument);
+  // The dense constructor takes symmetric coefficients only.
+  EXPECT_THROW(MatrixPencil(f0, {Matrix{{0, 1}, {0, 0}}}),
+               std::invalid_argument);
+}
+
+TEST(FactoredPencil, DenseCoefficientsMapOntoTheIdentity) {
+  const Matrix f0{{1, 0}, {0, 1}};
+  const MatrixPencil pencil{f0, {Matrix{{2, -1}, {-1, 0}}, Matrix{2, 2}}};
+  EXPECT_TRUE(pencil.identity_dictionary());
+  ASSERT_EQ(pencil.terms(0).size(), 2u);
+  EXPECT_EQ(pencil.terms(0)[0].w, 1.0);  // half the diagonal entry
+  EXPECT_EQ(pencil.terms(0)[1].w, -1.0);
+  EXPECT_TRUE(pencil.terms(1).empty());
+  EXPECT_EQ(dense_coefficient(pencil, 0).data(),
+            (Matrix{{2, -1}, {-1, 0}}).data());
+}
+
+/// The references of piecewise_test: r0 puts the mode-1 equilibrium in R0.
+model::PwaSystem piecewise_size3_system(Vector& r) {
+  const model::StateSpace plant =
+      model::balanced_truncation(model::make_engine_model(), 3).sys;
+  r = Vector{0.0, 1.0, 0.5, 1.0};
+  const Vector w_eq =
+      model::close_loop_single_mode(plant, model::engine_gains_mode1())
+          .equilibrium(r);
+  r[0] = 0.0;
+  for (std::size_t j = 0; j < plant.num_states(); ++j)
+    r[0] += plant.c(0, j) * w_eq[j];
+  return model::close_loop(plant, model::make_engine_controller(), r);
+}
+
+TEST(FactoredPencil, PiecewiseNewtonSystemsWithWideDiagonalsFactor) {
+  // Regression: the S-procedure Newton matrices mix the multipliers with
+  // the P entries, and their diagonals span ~1e-6 to ~1e5.  Under an
+  // absolute diagonal shift of 1e-12, below roundoff at that scale, their
+  // Cholesky factorization met a negative pivot and synthesis returned no
+  // candidate under either encoding; the shift is now relative to the
+  // largest diagonal entry.
+  Vector r;
+  const model::PwaSystem sys = piecewise_size3_system(r);
+  lyap::PiecewiseOptions options;
+  options.backend = Backend::FastInteriorPoint;
+  for (auto encoding :
+       {lyap::SurfaceEncoding::Equality, lyap::SurfaceEncoding::Relaxed})
+    EXPECT_TRUE(
+        lyap::synthesize_piecewise(sys, r, encoding, options).has_value())
+        << (encoding == lyap::SurfaceEncoding::Equality ? "equality"
+                                                        : "relaxed");
+}
+
+// ---------------------------------------------------------------------------
 // Bit-identity goldens.  Every fingerprint below was recorded from the
-// dense Newton assembly (every coefficient a dense matrix, every trace over
-// all n^2 terms).  The solver must reproduce p, achieved_margin and the
-// iteration count to the bit: a change to the SDP layer that moves a single
-// bit of any of them must say so and re-record these values.
+// factored Newton assembly (rank-2 pencil terms, O(1) Hessian pairs, a
+// Cholesky Newton step with a relative diagonal shift).  The solver must
+// reproduce p, achieved_margin and the iteration count to the bit: a change
+// to the SDP layer that moves a single bit of any of them must say so and
+// re-record these values.
 
 struct Fingerprint {
   std::uint64_t digest = 0;       ///< FNV-1a over the bits of the result
@@ -234,66 +487,66 @@ struct FamilyGolden {
 // plant/mode/method/backend for sizes 3, 3i, 5, 5i, 10, with the LMI
 // configurations of lyap::SynthesisOptions' defaults.
 const FamilyGolden kFamilyGoldens[] = {
-  {"size3i/0/LMI/newton-ac", {0x5e6064bdfffb5fbfull, 0x3fa95c90773342a8ull, 22}},
-  {"size3i/0/LMI/fast-ipm", {0x399b9c0921af04e1ull, 0x3f9ff38719487581ull, 12}},
-  {"size3i/0/LMIa/newton-ac", {0x9654a4aaeac7426eull, 0x3f932b7f4743c7f9ull, 22}},
-  {"size3i/0/LMIa/fast-ipm", {0x7629a9b7bb407890ull, 0x3f9109d6490f367aull, 13}},
-  {"size3i/0/LMIa+/newton-ac", {0x4d69544abea3ff7cull, 0x3f9329f65a9ae400ull, 22}},
-  {"size3i/0/LMIa+/fast-ipm", {0x9911284347886297ull, 0x3f91086b22d6ebe5ull, 13}},
-  {"size3i/1/LMI/newton-ac", {0xc05ff542cf7fcfb3ull, 0x3fad946a294fb4baull, 22}},
-  {"size3i/1/LMI/fast-ipm", {0x400623adc1faa11dull, 0x3fab900c19d3efbfull, 12}},
-  {"size3i/1/LMIa/newton-ac", {0xc7f9285f497ec49dull, 0x3f98abd22dd3e5bdull, 22}},
-  {"size3i/1/LMIa/fast-ipm", {0x1e2cd45f3b7d9528ull, 0x3f9fdb37623fd338ull, 13}},
-  {"size3i/1/LMIa+/newton-ac", {0x7a469d883f618a47ull, 0x3f9888a5b1cfbb35ull, 22}},
-  {"size3i/1/LMIa+/fast-ipm", {0x52b9f0a19be29913ull, 0x3f9fb1ff07f2e4eeull, 13}},
-  {"size3/0/LMI/newton-ac", {0x989ddc362f29875aull, 0x3fb08974319011f3ull, 21}},
-  {"size3/0/LMI/fast-ipm", {0xb67ca2e32019226cull, 0x3fac776f6a7f2096ull, 12}},
-  {"size3/0/LMIa/newton-ac", {0xdab9f3debc858acfull, 0x3f9dfdba8fd33231ull, 21}},
-  {"size3/0/LMIa/fast-ipm", {0xd6c604b893683296ull, 0x3f95bb9d2c4174acull, 12}},
-  {"size3/0/LMIa+/newton-ac", {0xeb2790b0ecc39d15ull, 0x3f9df8faa30d159aull, 21}},
-  {"size3/0/LMIa+/fast-ipm", {0xf78fc342db01ea1bull, 0x3f95dc7e07e6c9fcull, 12}},
-  {"size3/1/LMI/newton-ac", {0x78b3606f2364e069ull, 0x3fafe9270cf3df6eull, 21}},
-  {"size3/1/LMI/fast-ipm", {0x1eeb5b34a284802aull, 0x3fa849e188e375d7ull, 12}},
-  {"size3/1/LMIa/newton-ac", {0x1be297b82b8df455ull, 0x3faa3c4ba6c92025ull, 21}},
-  {"size3/1/LMIa/fast-ipm", {0x94959526b163457bull, 0x3fa11b1318573f29ull, 12}},
-  {"size3/1/LMIa+/newton-ac", {0x6b02d45fc2f5915aull, 0x3faa1c6cc4e7c806ull, 21}},
-  {"size3/1/LMIa+/fast-ipm", {0xae42acf59fdcad42ull, 0x3fa100875a9914a5ull, 12}},
-  {"size5i/0/LMI/newton-ac", {0x7b925fb29c0df2e3ull, 0x3f6b0d2a549893c0ull, 33}},
-  {"size5i/0/LMI/fast-ipm", {0x43b8b44944fbede0ull, 0x3f6728ce5b98da03ull, 19}},
-  {"size5i/0/LMIa/newton-ac", {0xbadf164ca02cf801ull, 0x3f69e64aad8675c7ull, 34}},
-  {"size5i/0/LMIa/fast-ipm", {0x2426f5db627563caull, 0x3f68ee9782b2050cull, 26}},
-  {"size5i/0/LMIa+/newton-ac", {0x23373fdbd55de80aull, 0x3f61ef9690185040ull, 34}},
-  {"size5i/0/LMIa+/fast-ipm", {0x4505d2230fddae1bull, 0x3f60f4147c3bd709ull, 26}},
-  {"size5i/1/LMI/newton-ac", {0x751f578bdafa9ff5ull, 0x3f6b4f75612542bdull, 33}},
-  {"size5i/1/LMI/fast-ipm", {0x041512219c33c74cull, 0x3f6a620c59fae2f0ull, 25}},
-  {"size5i/1/LMIa/newton-ac", {0xfe6978eca20f1664ull, 0x3f6ada1252f6c4bbull, 33}},
-  {"size5i/1/LMIa/fast-ipm", {0x55370fcd0438bae1ull, 0x3f670c4b53985f2full, 19}},
-  {"size5i/1/LMIa+/newton-ac", {0xe92275b8a0bc7bf5ull, 0x3f62cbe5682318d5ull, 33}},
-  {"size5i/1/LMIa+/fast-ipm", {0x072ebe2476a6dd2eull, 0x3f61d51a2bbda23aull, 25}},
-  {"size5/0/LMI/newton-ac", {0xc7cf92f70be4919full, 0x3f70a412565a5c05ull, 34}},
-  {"size5/0/LMI/fast-ipm", {0xfe7db019d09efd9full, 0x3f6c34470918e2b6ull, 19}},
-  {"size5/0/LMIa/newton-ac", {0x41c069e81c97f09aull, 0x3f70485d305b05bdull, 36}},
-  {"size5/0/LMIa/fast-ipm", {0x5dad08220832ce84ull, 0x3f6b7e3f37971cbfull, 19}},
-  {"size5/0/LMIa+/newton-ac", {0xec03ea4d4697f8edull, 0x3f6889c2d20a9b9dull, 36}},
-  {"size5/0/LMIa+/fast-ipm", {0x0d649c8f52bca320ull, 0x3f674f46f3b48a72ull, 26}},
-  {"size5/1/LMI/newton-ac", {0x70ca946075dfb0f6ull, 0x3f6de9b227cf1377ull, 32}},
-  {"size5/1/LMI/fast-ipm", {0x6ea50e5353b0a41cull, 0x3f6ae8bb2a5891a8ull, 18}},
-  {"size5/1/LMIa/newton-ac", {0xae90a273a9b64e72ull, 0x3f6db71a547ba54aull, 32}},
-  {"size5/1/LMIa/fast-ipm", {0x86d635e9a1e71c9eull, 0x3f6cf8640ab1923full, 19}},
-  {"size5/1/LMIa+/newton-ac", {0x6097112203afcbdcull, 0x3f659b72f6356473ull, 32}},
-  {"size5/1/LMIa+/fast-ipm", {0xfba3f6fcd050cdbbull, 0x3f688de758257b35ull, 25}},
-  {"size10/0/LMI/newton-ac", {0x7902e8676b9b0c04ull, 0x3f632c41c15300deull, 31}},
-  {"size10/0/LMI/fast-ipm", {0x84454780c8e45436ull, 0x3f65b783807c7eedull, 27}},
-  {"size10/0/LMIa/newton-ac", {0x654adafc4571e506ull, 0x3f6514c509c724b2ull, 32}},
-  {"size10/0/LMIa/fast-ipm", {0x0a70c42b97fb0643ull, 0x3f656209126a94a0ull, 26}},
-  {"size10/0/LMIa+/newton-ac", {0xb37814990ae98c62ull, 0x3f59f7964a2aa766ull, 32}},
-  {"size10/0/LMIa+/fast-ipm", {0x04a43e1d1b8c3d61ull, 0x3f5a92a61a916c76ull, 26}},
-  {"size10/1/LMI/newton-ac", {0xf68cfd1299e651d6ull, 0x3f63ccf0abb0c9b4ull, 32}},
-  {"size10/1/LMI/fast-ipm", {0xcf3e13aeca5a34f8ull, 0x3f6559f410d8752aull, 26}},
-  {"size10/1/LMIa/newton-ac", {0x21f81fdbc7881e22ull, 0x3f63b6d57fe55269ull, 32}},
-  {"size10/1/LMIa/fast-ipm", {0x3fdda2cbd9dff0c1ull, 0x3f653f4199e13447ull, 26}},
-  {"size10/1/LMIa+/newton-ac", {0xafa0bd8323ba80ebull, 0x3f57276d31356ecbull, 32}},
-  {"size10/1/LMIa+/fast-ipm", {0xa7d04ad8cfe16711ull, 0x3f5a3d12bfc3714cull, 26}},
+  {"size3i/0/LMI/newton-ac", {0x7a999b79831f740dull, 0x3fa95c9077230dbdull, 22}},
+  {"size3i/0/LMI/fast-ipm", {0x6beedc5b11e3e99dull, 0x3f9ff3871935aff7ull, 12}},
+  {"size3i/0/LMIa/newton-ac", {0x4ca766911bcf9feeull, 0x3f932b7f4733f4eaull, 22}},
+  {"size3i/0/LMIa/fast-ipm", {0x3b944fdfae53286bull, 0x3f9109d648fa4071ull, 13}},
+  {"size3i/0/LMIa+/newton-ac", {0x23e5abde4a361360ull, 0x3f9329f65a8b48ebull, 22}},
+  {"size3i/0/LMIa+/fast-ipm", {0xc26e4fbbc26bac0dull, 0x3f91086b22c23c3eull, 13}},
+  {"size3i/1/LMI/newton-ac", {0xbd19729e254d1ee5ull, 0x3fad946a294fad0full, 22}},
+  {"size3i/1/LMI/fast-ipm", {0xc3652f3780adce98ull, 0x3fab900c19d2f677ull, 12}},
+  {"size3i/1/LMIa/newton-ac", {0x6be025e64fece145ull, 0x3f98abd22dc4ba2eull, 22}},
+  {"size3i/1/LMIa/fast-ipm", {0x3a50bc7a6c32a087ull, 0x3f9fdb3762284ae1ull, 13}},
+  {"size3i/1/LMIa+/newton-ac", {0xa0cf0e3bd7560d89ull, 0x3f9888a5b1c0ba77ull, 22}},
+  {"size3i/1/LMIa+/fast-ipm", {0xf269472cdb3c7fdaull, 0x3f9fb1ff07dbce15ull, 13}},
+  {"size3/0/LMI/newton-ac", {0xdcf9983a76093ba4ull, 0x3fb08974318a62e5ull, 21}},
+  {"size3/0/LMI/fast-ipm", {0x528de133ead17d4cull, 0x3fac776f6a6801d9ull, 12}},
+  {"size3/0/LMIa/newton-ac", {0x7fd3dcdbedc09a55ull, 0x3f9dfdba8fc3aa2full, 21}},
+  {"size3/0/LMIa/fast-ipm", {0x1c9f621ee32bc619ull, 0x3f95bb9d2c224913ull, 12}},
+  {"size3/0/LMIa+/newton-ac", {0x74188b3720751a1bull, 0x3f9df8faa2fdb08full, 21}},
+  {"size3/0/LMIa+/fast-ipm", {0x03e73f04d6f944b8ull, 0x3f95dc7e07c85340ull, 12}},
+  {"size3/1/LMI/newton-ac", {0xd08e49f0c656ca99ull, 0x3fafe9270cf44e50ull, 21}},
+  {"size3/1/LMI/fast-ipm", {0xe2dd44877251c47eull, 0x3fa849e188dd2f27ull, 12}},
+  {"size3/1/LMIa/newton-ac", {0xd885758439fbff41ull, 0x3faa3c4ba6c3259aull, 21}},
+  {"size3/1/LMIa/fast-ipm", {0xa2511fdb5fbc4fa4ull, 0x3fa11b13184f30e6ull, 12}},
+  {"size3/1/LMIa+/newton-ac", {0x1d1b196a203172d2ull, 0x3faa1c6cc4e1e07aull, 21}},
+  {"size3/1/LMIa+/fast-ipm", {0x7d43eae5994f9bccull, 0x3fa100875a912c69ull, 12}},
+  {"size5i/0/LMI/newton-ac", {0x4ed12a903e1ed222ull, 0x3f6b0d2a524061f2ull, 33}},
+  {"size5i/0/LMI/fast-ipm", {0xc5b25cccc6808eabull, 0x3f6728ce5a844b27ull, 19}},
+  {"size5i/0/LMIa/newton-ac", {0x2189e844b754829full, 0x3f69e64aa9aa3df1ull, 34}},
+  {"size5i/0/LMIa/fast-ipm", {0x585022e332513e04ull, 0x3f68ee97810440a2ull, 26}},
+  {"size5i/0/LMIa+/newton-ac", {0x38eb3859fadbfc11ull, 0x3f61ef968c644cf4ull, 34}},
+  {"size5i/0/LMIa+/fast-ipm", {0xf73ac73032500336ull, 0x3f60f4147a93f206ull, 26}},
+  {"size5i/1/LMI/newton-ac", {0xbab6428cad43f48dull, 0x3f6b4f755f765173ull, 33}},
+  {"size5i/1/LMI/fast-ipm", {0x651a9d62ae2153adull, 0x3f6a620c5918c304ull, 25}},
+  {"size5i/1/LMIa/newton-ac", {0xaf3a6bc70c19b8f8ull, 0x3f6ada12509b6898ull, 33}},
+  {"size5i/1/LMIa/fast-ipm", {0xfcc9f6325c983d1full, 0x3f670c4b52b0cc9full, 19}},
+  {"size5i/1/LMIa+/newton-ac", {0x8d2280501473acf7ull, 0x3f62cbe565d3ec3cull, 33}},
+  {"size5i/1/LMIa+/fast-ipm", {0x670009911bfd3df8ull, 0x3f61d51a2a92b723ull, 25}},
+  {"size5/0/LMI/newton-ac", {0x570c24d25e5419d8ull, 0x3f70a4125584c436ull, 34}},
+  {"size5/0/LMI/fast-ipm", {0xe23341d486702a42ull, 0x3f6c3447082433c7ull, 19}},
+  {"size5/0/LMIa/newton-ac", {0xeb681094078cbbb8ull, 0x3f70485d2f085ac4ull, 36}},
+  {"size5/0/LMIa/fast-ipm", {0x75598fc5153ee73cull, 0x3f6b7e3f36358ca5ull, 19}},
+  {"size5/0/LMIa+/newton-ac", {0x7d8c912e0341fd08ull, 0x3f6889c2cf775cdeull, 36}},
+  {"size5/0/LMIa+/fast-ipm", {0x663f6f3b6918b3deull, 0x3f674f46f2662803ull, 26}},
+  {"size5/1/LMI/newton-ac", {0x71105ee6e7d894ceull, 0x3f6de9b227432421ull, 32}},
+  {"size5/1/LMI/fast-ipm", {0x0cefb12974514b82ull, 0x3f6ae8bb2a0c5499ull, 18}},
+  {"size5/1/LMIa/newton-ac", {0xcf5540e7326420dcull, 0x3f6db71a53d3344aull, 32}},
+  {"size5/1/LMIa/fast-ipm", {0x1b6b6d4aa6aa3a0dull, 0x3f6cf8640a0153b1ull, 19}},
+  {"size5/1/LMIa+/newton-ac", {0x93f671656589bcf2ull, 0x3f659b72f58dd7a3ull, 32}},
+  {"size5/1/LMIa+/fast-ipm", {0xe28bc30612878a66ull, 0x3f688de757792d69ull, 25}},
+  {"size10/0/LMI/newton-ac", {0xd94cc19600a5e678ull, 0x3f632c41c0a05bbbull, 31}},
+  {"size10/0/LMI/fast-ipm", {0xfdae4e74886c43daull, 0x3f65b7837f6ac51aull, 27}},
+  {"size10/0/LMIa/newton-ac", {0x9643ab8c28cb8cd2ull, 0x3f6514c507b77c22ull, 32}},
+  {"size10/0/LMIa/fast-ipm", {0x9fa3aaeb81d1071full, 0x3f65620910ccaef6ull, 26}},
+  {"size10/0/LMIa+/newton-ac", {0x3eb93093d84a1306ull, 0x3f59f796462547adull, 32}},
+  {"size10/0/LMIa+/fast-ipm", {0xb02362432c39ad65ull, 0x3f5a92a617674703ull, 26}},
+  {"size10/1/LMI/newton-ac", {0x5bf9e862af1e8935ull, 0x3f63ccf0ab508779ull, 32}},
+  {"size10/1/LMI/fast-ipm", {0xe64c667efa79859eull, 0x3f6559f41065b37full, 26}},
+  {"size10/1/LMIa/newton-ac", {0x77be888b8676f871ull, 0x3f63b6d57f7419daull, 32}},
+  {"size10/1/LMIa/fast-ipm", {0x7f6632018dd3a0f5ull, 0x3f653f41995f7cb5ull, 26}},
+  {"size10/1/LMIa+/newton-ac", {0x26849c8647f454d5ull, 0x3f57276d3053ba4aull, 32}},
+  {"size10/1/LMIa+/fast-ipm", {0x86e9bd1e90ee89f1ull, 0x3f5a3d12bec0818full, 26}},
 };
 
 TEST(BarrierGolden, FamilyLyapunovSolvesAreBitIdentical) {
@@ -342,7 +595,7 @@ TEST(BarrierGolden, ShortStepSolveIsBitIdentical) {
       model::close_loop_single_mode(it->plant, model::engine_gains_mode0()).a;
   const Fingerprint got = fingerprint(solve_lmi(
       make_lyapunov_lmi(a, LyapunovLmiConfig{}), Backend::ShortStepBarrier));
-  EXPECT_EQ(got, (Fingerprint{0xfad08c29b1f3c95dull, 0x3fa457a9647aaa90ull,
+  EXPECT_EQ(got, (Fingerprint{0xf7ceb24862519afaull, 0x3fa457a9647931b2ull,
                               720}))
       << got;
 }
@@ -350,62 +603,25 @@ TEST(BarrierGolden, ShortStepSolveIsBitIdentical) {
 TEST(BarrierGolden, PiecewiseSynthesisIsBitIdentical) {
   // The S-procedure pencils: all-zero coefficients, 1x1 multiplier blocks
   // and dense surface coefficients (the setting of piecewise_test).
-  const model::StateSpace plant =
-      model::balanced_truncation(model::make_engine_model(), 3).sys;
-  Vector r{0.0, 1.0, 0.5, 1.0};
-  const Vector w_eq =
-      model::close_loop_single_mode(plant, model::engine_gains_mode1())
-          .equilibrium(r);
-  r[0] = 0.0;
-  for (std::size_t j = 0; j < plant.num_states(); ++j)
-    r[0] += plant.c(0, j) * w_eq[j];
-  const model::PwaSystem sys =
-      model::close_loop(plant, model::make_engine_controller(), r);
+  Vector r;
+  const model::PwaSystem sys = piecewise_size3_system(r);
   const auto c = lyap::synthesize_piecewise(sys, r,
                                             lyap::SurfaceEncoding::Equality);
   ASSERT_TRUE(c.has_value());
   const std::uint64_t digest =
       fnv_bits({c->mu0, c->mu1, c->eta0, c->eta1},
                fnv_bits(c->p1_aug.data(), fnv_bits(c->p0_aug.data())));
-  EXPECT_EQ(digest, 0x1ed4f543923f9285ull) << "0x" << std::hex << digest;
+  EXPECT_EQ(digest, 0x5a5b52161a825399ull) << "0x" << std::hex << digest;
 }
 
 TEST(BarrierGolden, HandBuiltPencilsAreBitIdentical) {
-  // Four variables over three blocks.  Variable 0 has an all-zero
-  // coefficient everywhere (an empty pattern); variable 1 a fully dense
-  // one; variable 2 a full row and column 0 but one- or two-entry columns
-  // elsewhere (an arrowhead, the pattern of a Lie-block coefficient);
-  // variable 3 a two-entry basis matrix.  The upper block bounds the
-  // feasible set; the 1x1 block is dense by construction.
-  const std::size_t n = 5;
-  Matrix zero{n, n};
-  Matrix dense{n, n};
-  Matrix arrow{n, n};
-  Matrix basis{n, n};
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j)
-      dense(i, j) = 1.0 / static_cast<double>(1 + i + j) - (i == j ? 0.7 : 0.0);
-    arrow(0, i) = arrow(i, 0) = i % 2 == 0 ? 0.5 : -1.0;
-    arrow(i, i) = 0.25;
-  }
-  basis(3, 4) = basis(4, 3) = 1.0;
-  LmiProblem problem;
-  problem.num_vars = 4;
-  problem.constraints.emplace_back(
-      Matrix::identity(n) * 2.0,
-      std::vector<Matrix>{zero, dense, arrow, basis});
-  problem.constraints.emplace_back(
-      Matrix::identity(n) * 3.0,
-      std::vector<Matrix>{-zero, -dense, -arrow, -basis});
-  problem.constraints.emplace_back(
-      Matrix{{1.0}}, std::vector<Matrix>{Matrix{{0.0}}, Matrix{{0.3}},
-                                         Matrix{{-0.2}}, Matrix{{0.0}}});
+  const LmiProblem problem = hand_built_problem();
   LmiOptions options;
   options.target_margin = 0.09;  // centre well inside, not one step
   const Fingerprint goldens[] = {
-      {0x1c2def94501197acull, 0x3ff2cd2819f4193aull, 8},
-      {0x99e12c9dcb02cf3cull, 0x3ff0507db2f35a5dull, 1},
-      {0x2a0c2291d67364dbull, 0x3ff17e7efae11514ull, 433},
+      {0x11e3f3024ff6b538ull, 0x3ff2cd2819f4036aull, 8},
+      {0x98c68e19fa9f20cbull, 0x3ff0507db2f35976ull, 1},
+      {0x8b0b1ecabf7e996bull, 0x3ff17e7efae112c0ull, 433},
   };
   std::size_t next = 0;
   for (Backend b : {Backend::NewtonAnalyticCenter, Backend::FastInteriorPoint,
@@ -418,7 +634,7 @@ TEST(BarrierGolden, HandBuiltPencilsAreBitIdentical) {
   // evaluate() at a point where every coefficient contributes.
   const Matrix at =
       problem.constraints[0].evaluate(Vector{0.7, -0.3, 0.2, 0.9});
-  EXPECT_EQ(fnv_bits(at.data()), 0x51c054828730ec47ull)
+  EXPECT_EQ(fnv_bits(at.data()), 0xb3fa7e6504ac54c7ull)
       << "0x" << std::hex << fnv_bits(at.data());
 }
 

@@ -33,15 +33,15 @@ class ServiceTest : public ::testing::Test {
            ("spiv_service_test_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    // Export the size-3, size-5 and size-10i benchmark cases once.
+    // Export the size-3, size-5 and size-15 benchmark cases once.
     for (const auto& bm : model::benchmark_family())
-      if (bm.name == "size3" || bm.name == "size5" || bm.name == "size10i") {
+      if (bm.name == "size3" || bm.name == "size5" || bm.name == "size15") {
         std::ofstream out{case_path(bm.name)};
         model::write_case(out, bm);
       }
     ASSERT_TRUE(fs::exists(case_path()));
     ASSERT_TRUE(fs::exists(case_path("size5")));
-    ASSERT_TRUE(fs::exists(case_path("size10i")));
+    ASSERT_TRUE(fs::exists(case_path("size15")));
   }
   void TearDown() override {
     std::error_code ec;
@@ -211,16 +211,17 @@ TEST_F(ServiceTest, TimeoutBudgetIsSharedBetweenSynthesisAndValidation) {
   // Regression test for the deadline double-spend: synthesis and validation
   // used to each mint a FRESH `timeout_s` deadline, so a request declaring
   // a budget T could run for up to 2T.  The workload (short-step LMI
-  // synthesis on size10i, validated by the characteristic-polynomial
-  // smt-z3 engine at digits 4) takes roughly equal time in both stages
-  // (~1 s each on a 4-core Xeon), which makes the two behaviours
-  // observable: with one shared deadline, validation only gets what
-  // synthesis left and times out; with a fresh deadline it would finish
-  // and answer `valid`.  (Size18 newton-ac synthesis is too fast next to
-  // LDL^T validation to clear the s >= 0.6 v guard below, and the integer
-  // Sylvester engine validates size18 in ~30 ms.)
+  // synthesis on size15, validated by the exact LDL^T engine at digits 14)
+  // takes roughly equal time in both stages (~0.8 s each on a 4-core
+  // Xeon; under ASan synthesis slows about twice as much as validation,
+  // and digits 14 keeps validation the larger share there too), which
+  // makes the two behaviours observable: with one shared deadline,
+  // validation only gets what synthesis left and times out; with a fresh
+  // deadline it would finish and answer `valid`.  (Size10i synthesis is
+  // too fast next to smt-z3 validation to clear the s >= 0.6 v guard
+  // below, and the integer Sylvester engine validates size18 in ~30 ms.)
   const std::string cmd =
-      "verify " + case_path("size10i") + " 0 LMI short-ipm smt-z3 4";
+      "verify " + case_path("size15") + " 0 LMI short-ipm ldlt 14";
 
   // Calibrate on this machine under a generous budget.  Take the median of
   // three runs: on a shared host two identical runs can differ by a third,

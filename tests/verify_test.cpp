@@ -268,17 +268,17 @@ TEST_F(VerifyPipelineTest, BudgetPolicySemantics) {
   // burn up to 3T).  Under SharedBudget the stages draw from one deadline;
   // under SplitBudget the validation clock must not start until synthesis
   // has finished.  Calibrate a workload where both stages take comparable,
-  // measurable time (short-step LMI synthesis on size10i and smt-z3
-  // validation at digits 4 each take ~1 s on a 4-core Xeon; size18
-  // newton-ac synthesis is too fast next to LDL^T validation to clear the
+  // measurable time (short-step LMI synthesis on size15 and LDL^T
+  // validation at digits 14 each take ~0.8 s on a 4-core Xeon; size10i
+  // synthesis is too fast next to smt-z3 validation to clear the
   // s >= 0.6 v guard), then observe both policies.
   verify::VerifyContext ctx;
   verify::VerifyRequest req;
-  req.a = closed_a("size10i");
+  req.a = closed_a("size15");
   req.method = lyap::Method::Lmi;
   req.backend = sdp::Backend::ShortStepBarrier;
-  req.engine = smt::Engine::SmtZ3Style;
-  req.digits = 4;
+  req.engine = smt::Engine::Ldlt;
+  req.digits = 14;
   req.budget = verify::SharedBudget{600.0};
   // Median of three calibration runs: on a shared host two identical runs
   // can differ by a third, and one slow calibration lets the timed shared
