@@ -7,9 +7,10 @@
 //   order: plant order to analyze (default 5; 18 = the full engine).
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <random>
 
+#include "core/env.hpp"
 #include "model/reduction.hpp"
 #include "robust/region.hpp"
 #include "sim/integrator.hpp"
@@ -19,8 +20,17 @@ int main(int argc, char** argv) {
   using namespace spiv;
   using numeric::Vector;
 
-  const std::size_t order = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 5;
   model::StateSpace engine = model::make_engine_model();
+  std::size_t order = 5;
+  if (argc > 1) {
+    const std::optional<std::size_t> parsed =
+        core::env::parse_positive(argv[1]);
+    if (!parsed || *parsed > engine.num_states()) {
+      std::fprintf(stderr, "invalid order '%s'\n", argv[1]);
+      return 2;
+    }
+    order = *parsed;
+  }
   model::StateSpace plant = order == engine.num_states()
                                 ? engine
                                 : model::balanced_truncation(engine, order).sys;

@@ -7,8 +7,9 @@
 //
 // Build & run:  ./build/examples/switching_simulation [order]
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 
+#include "core/env.hpp"
 #include "model/reduction.hpp"
 #include "sim/integrator.hpp"
 
@@ -16,8 +17,17 @@ int main(int argc, char** argv) {
   using namespace spiv;
   using numeric::Vector;
 
-  const std::size_t order = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 10;
   model::StateSpace engine = model::make_engine_model();
+  std::size_t order = 10;
+  if (argc > 1) {
+    const std::optional<std::size_t> parsed =
+        core::env::parse_positive(argv[1]);
+    if (!parsed || *parsed > engine.num_states()) {
+      std::fprintf(stderr, "invalid order '%s'\n", argv[1]);
+      return 2;
+    }
+    order = *parsed;
+  }
   model::StateSpace plant = order == engine.num_states()
                                 ? engine
                                 : model::balanced_truncation(engine, order).sys;

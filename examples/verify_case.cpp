@@ -15,11 +15,14 @@
 // so one mode can never burn more than its declared budget.  (An earlier
 // version minted a fresh full-timeout deadline per stage, letting one mode
 // spend 3x the declared budget.)
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "core/env.hpp"
 #include "lyapunov/synthesis.hpp"
 #include "model/serialize.hpp"
 #include "numeric/eigen.hpp"
@@ -51,6 +54,10 @@ int main(int argc, char** argv) {
   lyap::Method method = lyap::Method::LmiAlpha;
   int digits = 10;
   double timeout = 120.0;
+  const auto invalid = [](const char* flag, const char* value) {
+    std::fprintf(stderr, "invalid %s '%s'\n", flag, value);
+    return 2;
+  };
   for (int i = 2; i + 1 < argc; i += 2) {
     if (!std::strcmp(argv[i], "--method")) {
       auto m = parse_method(argv[i + 1]);
@@ -60,9 +67,15 @@ int main(int argc, char** argv) {
       }
       method = *m;
     } else if (!std::strcmp(argv[i], "--digits")) {
-      digits = std::atoi(argv[i + 1]);
+      const std::optional<std::size_t> d =
+          core::env::parse_positive(argv[i + 1]);
+      if (!d || *d > static_cast<std::size_t>(INT_MAX))
+        return invalid(argv[i], argv[i + 1]);
+      digits = static_cast<int>(*d);
     } else if (!std::strcmp(argv[i], "--timeout")) {
-      timeout = std::atof(argv[i + 1]);
+      const std::optional<double> t = core::env::parse_seconds(argv[i + 1]);
+      if (!t || *t == 0.0) return invalid(argv[i], argv[i + 1]);
+      timeout = *t;
     }
   }
 

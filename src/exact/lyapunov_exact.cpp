@@ -84,10 +84,9 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
   return true;
 }
 
-/// Multi-modular solve of op X = B (any number of RHS columns — the
-/// per-prime elimination is shared across all of them).  nullopt means
-/// "use Bareiss": the caller asked for it, the system looks singular, or
-/// reconstruction failed.  Only genuine failures count as fallbacks.
+/// Multi-modular solve of op X = B.  nullopt means "use Bareiss": the
+/// caller asked for it, the system looks singular, or reconstruction
+/// failed.  Only genuine failures count as fallbacks.
 std::optional<RatMatrix> try_modular_solve(const RatMatrix& op,
                                            const RatMatrix& b,
                                            const Deadline& deadline,
@@ -167,70 +166,36 @@ RatMatrix lyapunov_operator_vech(const RatMatrix& a, const Deadline& deadline) {
   return op;
 }
 
-std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
-    const RatMatrix& a, const std::vector<RatMatrix>& qs,
-    const Deadline& deadline, ExactSolverStrategy strategy) {
-  if (!a.is_square())
-    throw std::invalid_argument("solve_lyapunov_exact: A must be square");
-  for (const RatMatrix& q : qs) {
-    if (!q.is_square() || a.rows() != q.rows())
-      throw std::invalid_argument("solve_lyapunov_exact: shape mismatch");
-    if (!q.is_symmetric())
-      throw std::invalid_argument("solve_lyapunov_exact: Q must be symmetric");
-  }
-  const std::size_t n = a.rows();
-  const std::size_t k = qs.size();
-  std::vector<std::optional<RatMatrix>> out(k);
-  if (k == 0) return out;
-  RatMatrix op = lyapunov_operator_vech(a, deadline);
-  RatMatrix b{op.rows(), k};
-  for (std::size_t c = 0; c < k; ++c) {
-    const std::vector<Rational> col = vech(-qs[c]);
-    for (std::size_t i = 0; i < col.size(); ++i) b(i, c) = col[i];
-  }
-  std::vector<std::size_t> remaining;  // columns the modular path missed
-  if (auto xm = try_modular_solve(op, b, deadline, strategy)) {
-    for (std::size_t c = 0; c < k; ++c) {
-      std::vector<Rational> col(op.rows());
-      for (std::size_t i = 0; i < col.size(); ++i) col[i] = (*xm)(i, c);
-      RatMatrix p = unvech(col, n);
-      // The modular path already verified op·X == B; this recheck is the
-      // belt-and-braces guarantee that what we hand out satisfies the
-      // *Lyapunov equation*, independent of how op was assembled.
-      if (lyapunov_residual_is_zero(a, p, qs[c], deadline)) {
-        out[c] = std::move(p);
-      } else {
-        fallback_counter().add();
-        remaining.push_back(c);
-      }
-    }
-  } else {
-    for (std::size_t c = 0; c < k; ++c) remaining.push_back(c);
-  }
-  if (remaining.empty()) return out;
-  // Deadline-aware fraction-free solve for whatever the modular path did
-  // not deliver — one Bareiss elimination shared across the leftover RHS
-  // columns (RatMatrix::solve polls the deadline and any attached
-  // CancelToken at row granularity).
-  RatMatrix b_rest{op.rows(), remaining.size()};
-  for (std::size_t c = 0; c < remaining.size(); ++c)
-    for (std::size_t i = 0; i < op.rows(); ++i)
-      b_rest(i, c) = b(i, remaining[c]);
-  auto x = op.solve(b_rest, deadline);
-  if (!x) return out;  // singular operator: the missing columns stay empty
-  for (std::size_t c = 0; c < remaining.size(); ++c) {
-    std::vector<Rational> col(op.rows());
-    for (std::size_t i = 0; i < col.size(); ++i) col[i] = (*x)(i, c);
-    out[remaining[c]] = unvech(col, n);
-  }
-  return out;
-}
-
 std::optional<RatMatrix> solve_lyapunov_exact(
     const RatMatrix& a, const RatMatrix& q, const Deadline& deadline,
     ExactSolverStrategy strategy) {
-  auto ps = solve_lyapunov_exact_multi(a, {q}, deadline, strategy);
-  return std::move(ps.front());
+  if (!a.is_square())
+    throw std::invalid_argument("solve_lyapunov_exact: A must be square");
+  if (!q.is_square() || a.rows() != q.rows())
+    throw std::invalid_argument("solve_lyapunov_exact: shape mismatch");
+  if (!q.is_symmetric())
+    throw std::invalid_argument("solve_lyapunov_exact: Q must be symmetric");
+  const std::size_t n = a.rows();
+  const RatMatrix op = lyapunov_operator_vech(a, deadline);
+  const std::vector<Rational> rhs = vech(-q);
+  RatMatrix b{rhs.size(), 1};
+  for (std::size_t i = 0; i < rhs.size(); ++i) b(i, 0) = rhs[i];
+  if (auto x = try_modular_solve(op, b, deadline, strategy)) {
+    std::vector<Rational> col(rhs.size());
+    for (std::size_t i = 0; i < col.size(); ++i) col[i] = (*x)(i, 0);
+    RatMatrix p = unvech(col, n);
+    // The modular path already verified op·X == B; this recheck is the
+    // belt-and-braces guarantee that what we hand out satisfies the
+    // *Lyapunov equation*, independent of how op was assembled.
+    if (lyapunov_residual_is_zero(a, p, q, deadline)) return p;
+    fallback_counter().add();
+  }
+  // Deadline-aware fraction-free solve for whatever the modular path did
+  // not deliver (RatMatrix::solve polls the deadline and any attached
+  // CancelToken at row granularity).  nullopt: the operator is singular.
+  auto x = op.solve(rhs, deadline);
+  if (!x) return std::nullopt;
+  return unvech(*x, n);
 }
 
 RatMatrix lyapunov_residual(const RatMatrix& a, const RatMatrix& p,

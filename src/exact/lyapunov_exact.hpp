@@ -42,17 +42,6 @@ namespace spiv::exact {
     const RatMatrix& a, const RatMatrix& q, const Deadline& deadline = {},
     ExactSolverStrategy strategy = ExactSolverStrategy::Modular);
 
-/// Batched variant: solve A^T P_c + P_c A + Q_c = 0 for every Q in `qs`
-/// against the SAME A.  The Lyapunov operator is assembled once and all
-/// right-hand sides share one elimination per prime (modular path) or one
-/// Bareiss forward pass (fallback), so k solves cost barely more than one.
-/// out[c] is empty iff the operator is singular or that column failed the
-/// residual check and the fallback.  Throws TimeoutError on deadline.
-[[nodiscard]] std::vector<std::optional<RatMatrix>> solve_lyapunov_exact_multi(
-    const RatMatrix& a, const std::vector<RatMatrix>& qs,
-    const Deadline& deadline = {},
-    ExactSolverStrategy strategy = ExactSolverStrategy::Modular);
-
 /// Residual A^T P + P A + Q (all-zero iff P solves the equation).
 [[nodiscard]] RatMatrix lyapunov_residual(const RatMatrix& a,
                                           const RatMatrix& p,

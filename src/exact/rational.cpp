@@ -218,18 +218,4 @@ BigInt isqrt(const BigInt& v) {
   return x;
 }
 
-std::pair<Rational, Rational> sqrt_bracket(const Rational& v,
-                                           unsigned precision_bits) {
-  if (v.is_negative()) throw std::domain_error("sqrt_bracket: negative argument");
-  if (v.is_zero()) return {Rational{}, Rational{}};
-  // sqrt(n/d) = sqrt(n*d)/d.  Scale by 4^precision_bits for extra bits.
-  BigInt nd = v.num() * v.den();
-  BigInt scaled = nd.shifted_left(2 * static_cast<std::size_t>(precision_bits));
-  BigInt s = isqrt(scaled);
-  BigInt denom = v.den().shifted_left(precision_bits);
-  Rational lo{s, denom};
-  Rational hi{s + BigInt{1}, denom};
-  return {std::move(lo), std::move(hi)};
-}
-
 }  // namespace spiv::exact

@@ -51,7 +51,6 @@ class Rational {
   [[nodiscard]] bool is_zero() const { return num_.is_zero(); }
   [[nodiscard]] bool is_negative() const { return num_.is_negative(); }
   [[nodiscard]] bool is_one() const { return num_.is_one() && den_.is_one(); }
-  [[nodiscard]] bool is_integer() const { return den_.is_one(); }
   [[nodiscard]] int sign() const { return num_.sign(); }
 
   [[nodiscard]] Rational abs() const;
@@ -78,11 +77,6 @@ class Rational {
   [[nodiscard]] double to_double() const;
   [[nodiscard]] std::string to_string() const;
 
-  /// Total bit size of numerator+denominator (coefficient-growth metric).
-  [[nodiscard]] std::size_t bit_size() const {
-    return num_.bit_length() + den_.bit_length();
-  }
-
   friend std::ostream& operator<<(std::ostream& os, const Rational& v);
 
  private:
@@ -102,11 +96,5 @@ class Rational {
 
 /// Integer square-root helper: largest s with s*s <= v (v >= 0).
 [[nodiscard]] BigInt isqrt(const BigInt& v);
-
-/// Rational sqrt bracket: returns (lo, hi) with lo^2 <= v <= hi^2 and
-/// hi - lo <= 1/2^precision_bits.  Used to compare quantities involving
-/// square roots without leaving exact arithmetic.
-[[nodiscard]] std::pair<Rational, Rational> sqrt_bracket(const Rational& v,
-                                                         unsigned precision_bits);
 
 }  // namespace spiv::exact

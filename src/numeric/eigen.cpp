@@ -98,12 +98,6 @@ Matrix CMatrix::real_part() const {
   return out;
 }
 
-double CMatrix::max_abs_imag() const {
-  double best = 0.0;
-  for (const auto& v : data_) best = std::max(best, std::abs(v.imag()));
-  return best;
-}
-
 double CMatrix::frobenius_norm() const {
   double acc = 0.0;
   for (const auto& v : data_) acc += std::norm(v);

@@ -50,7 +50,6 @@ class CMatrix {
   [[nodiscard]] std::optional<CMatrix> inverse() const;
 
   [[nodiscard]] Matrix real_part() const;
-  [[nodiscard]] double max_abs_imag() const;
   [[nodiscard]] double frobenius_norm() const;
 
  private:

@@ -24,9 +24,6 @@ class Matrix {
 
   [[nodiscard]] static Matrix identity(std::size_t n);
   [[nodiscard]] static Matrix diagonal(const Vector& d);
-  /// Build from a row-major buffer.
-  [[nodiscard]] static Matrix from_row_major(std::size_t rows, std::size_t cols,
-                                             const double* data);
 
   [[nodiscard]] std::size_t rows() const { return rows_; }
   [[nodiscard]] std::size_t cols() const { return cols_; }

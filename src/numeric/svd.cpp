@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 namespace spiv::numeric {
@@ -71,16 +70,6 @@ Svd svd_decompose(const Matrix& a) {
     for (std::size_t i = 0; i < n; ++i) out.v(i, k) = v(i, j);
   }
   return out;
-}
-
-double condition_number(const Matrix& a) {
-  const bool tall = a.rows() >= a.cols();
-  Svd s = svd_decompose(tall ? a : a.transposed());
-  const double smax = s.singular_values.front();
-  const double smin = s.singular_values.back();
-  if (smin <= smax * 1e-300)
-    return std::numeric_limits<double>::infinity();
-  return smax / smin;
 }
 
 }  // namespace spiv::numeric

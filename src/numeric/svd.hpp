@@ -21,7 +21,4 @@ struct Svd {
 
 [[nodiscard]] Svd svd_decompose(const Matrix& a);
 
-/// Condition number sigma_max / sigma_min (inf when singular to roundoff).
-[[nodiscard]] double condition_number(const Matrix& a);
-
 }  // namespace spiv::numeric

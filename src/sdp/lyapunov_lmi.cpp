@@ -46,15 +46,10 @@ Matrix unvech_double(const Vector& p, std::size_t n) {
   return out;
 }
 
-LmiProblem make_lyapunov_lmi(std::span<const Matrix> modes,
-                             const LyapunovLmiConfig& config) {
-  if (modes.empty())
-    throw std::invalid_argument("make_lyapunov_lmi: no mode matrices");
-  const std::size_t n = modes.front().rows();
-  for (const Matrix& a : modes)
-    if (!a.is_square() || a.rows() != n)
-      throw std::invalid_argument(
-          "make_lyapunov_lmi: A must be square, one size for every mode");
+LmiProblem make_lyapunov_lmi(const Matrix& a, const LyapunovLmiConfig& config) {
+  if (!a.is_square())
+    throw std::invalid_argument("make_lyapunov_lmi: A must be square");
+  const std::size_t n = a.rows();
   if (config.kappa <= config.nu)
     throw std::invalid_argument("make_lyapunov_lmi: need kappa > nu");
   const std::size_t big_k = n * (n + 1) / 2;
@@ -96,17 +91,12 @@ LmiProblem make_lyapunov_lmi(std::span<const Matrix> modes,
   // kappa*I - P > 0.
   problem.constraints.emplace_back(diagonal(config.kappa), Matrix::identity(n),
                                    box_terms(-1.0));
-  // Per mode: -(A^T P + P A) - alpha P > 0.
-  for (const Matrix& a : modes) {
-    Matrix d = a.transposed();
-    for (std::size_t i = 0; i < n; ++i) d(i, i) += 0.5 * config.alpha;
-    problem.constraints.emplace_back(Matrix{n, n}, std::move(d), lie_terms);
-  }
+  // -(A^T P + P A) - alpha P > 0.
+  Matrix d = a.transposed();
+  for (std::size_t i = 0; i < n; ++i) d(i, i) += 0.5 * config.alpha;
+  problem.constraints.emplace_back(Matrix{n, n}, std::move(d),
+                                   std::move(lie_terms));
   return problem;
-}
-
-LmiProblem make_lyapunov_lmi(const Matrix& a, const LyapunovLmiConfig& config) {
-  return make_lyapunov_lmi(std::span{&a, 1}, config);
 }
 
 }  // namespace spiv::sdp

@@ -7,8 +7,6 @@
 // the analytic center exists.
 #pragma once
 
-#include <span>
-
 #include "numeric/matrix.hpp"
 #include "sdp/lmi.hpp"
 
@@ -31,11 +29,6 @@ struct LyapunovLmiConfig {
 /// the Lie block over D = (A + alpha/2 I)^T.
 [[nodiscard]] LmiProblem make_lyapunov_lmi(const numeric::Matrix& a,
                                            const LyapunovLmiConfig& config);
-/// The same with one Lie block per matrix of `modes`: a common P for all of
-/// them (a common quadratic Lyapunov function).  Throws
-/// std::invalid_argument when `modes` is empty or the shapes differ.
-[[nodiscard]] LmiProblem make_lyapunov_lmi(
-    std::span<const numeric::Matrix> modes, const LyapunovLmiConfig& config);
 
 /// Symmetric basis matrix E_k of the vech parameterization (1 on the
 /// diagonal entry, or 1 at both (i,j) and (j,i)).

@@ -330,27 +330,6 @@ TEST(FactoredPencil, DerivativesMatchDenseAssembly) {
   expect_derivatives_match_dense(general, "general dictionary");
 }
 
-TEST(FactoredPencil, CommonLyapunovProblemHasOneLieBlockPerMode) {
-  const Matrix a0{{-1, 2}, {0, -3}};
-  const Matrix a1{{-2, 0}, {1, -1}};
-  const std::vector<Matrix> modes{a0, a1};
-  const LmiProblem problem = make_lyapunov_lmi(modes, LyapunovLmiConfig{});
-  ASSERT_EQ(problem.constraints.size(), 4u);
-  const Vector p{0.3, -0.1, 0.2};
-  for (std::size_t i = 0; i < 2; ++i) {
-    const Matrix single = make_lyapunov_lmi(modes[i], LyapunovLmiConfig{})
-                              .constraints[2]
-                              .evaluate(p);
-    EXPECT_EQ(problem.constraints[2 + i].evaluate(p).data(), single.data());
-  }
-  expect_derivatives_match_dense(problem, "common");
-  EXPECT_THROW(make_lyapunov_lmi(std::vector<Matrix>{}, LyapunovLmiConfig{}),
-               std::invalid_argument);
-  EXPECT_THROW(make_lyapunov_lmi(std::vector<Matrix>{a0, Matrix::identity(3)},
-                                 LyapunovLmiConfig{}),
-               std::invalid_argument);
-}
-
 TEST(FactoredPencil, EvaluateMatchesDenseLyapunovBlocks) {
   std::mt19937_64 rng{17};
   std::normal_distribution<double> normal;

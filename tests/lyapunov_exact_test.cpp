@@ -91,52 +91,6 @@ TEST(LyapunovExact, HonorsDeadline) {
                TimeoutError);
 }
 
-TEST(LyapunovExact, BatchedMultiQMatchesSingleSolves) {
-  std::mt19937_64 rng{17};
-  std::uniform_int_distribution<std::int64_t> d{-4, 4};
-  const std::size_t n = 5;
-  RatMatrix a{n, n};
-  for (std::size_t i = 0; i < n; ++i) {
-    Rational row_sum;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      a(i, j) = Rational{d(rng)};
-      row_sum += a(i, j).abs();
-    }
-    a(i, i) = -(row_sum + Rational{3});
-  }
-  // Three RHS: identity, a scaled identity, and a random symmetric Q.
-  RatMatrix q2 = RatMatrix::identity(n) * Rational{7, 3};
-  RatMatrix q3{n, n};
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j <= i; ++j) {
-      q3(i, j) = Rational{d(rng)};
-      q3(j, i) = q3(i, j);
-    }
-  for (std::size_t i = 0; i < n; ++i) q3(i, i) += Rational{20};
-  const std::vector<RatMatrix> qs{RatMatrix::identity(n), q2, q3};
-  auto batched = solve_lyapunov_exact_multi(a, qs);
-  ASSERT_EQ(batched.size(), qs.size());
-  for (std::size_t c = 0; c < qs.size(); ++c) {
-    ASSERT_TRUE(batched[c].has_value()) << c;
-    auto single = solve_lyapunov_exact(a, qs[c]);
-    ASSERT_TRUE(single.has_value()) << c;
-    EXPECT_EQ(*batched[c], *single) << c;
-    EXPECT_EQ(lyapunov_residual(a, *batched[c], qs[c]), RatMatrix(n, n)) << c;
-  }
-}
-
-TEST(LyapunovExact, MultiHandlesEmptyBatchAndSingularOperator) {
-  RatMatrix good{{q(-1), q(0)}, {q(0), q(-2)}};
-  EXPECT_TRUE(solve_lyapunov_exact_multi(good, {}).empty());
-  RatMatrix sing{{q(1), q(0)}, {q(0), q(-1)}};  // A and -A share an eigenvalue
-  auto ps = solve_lyapunov_exact_multi(
-      sing, {RatMatrix::identity(2), RatMatrix::identity(2)});
-  ASSERT_EQ(ps.size(), 2u);
-  EXPECT_FALSE(ps[0].has_value());
-  EXPECT_FALSE(ps[1].has_value());
-}
-
 TEST(LyapunovOperator, MatchesDirectComputationOnBasis) {
   RatMatrix a{{q(-2), q(1)}, {q(0), q(-1)}};
   RatMatrix op = lyapunov_operator_vech(a);

@@ -125,19 +125,6 @@ TEST(Rational, IsqrtExactAndBounds) {
   }
 }
 
-TEST(Rational, SqrtBracketTightAndCorrect) {
-  for (auto v : {Rational{2}, Rational{1, 2}, Rational{17, 3}, Rational{100}}) {
-    auto [lo, hi] = sqrt_bracket(v, 64);
-    EXPECT_LE(lo * lo, v);
-    EXPECT_GE(hi * hi, v);
-    EXPECT_LE(hi - lo, (Rational{BigInt{1}, BigInt{1}.shifted_left(64)}));
-    EXPECT_NEAR(lo.to_double(), std::sqrt(v.to_double()), 1e-12);
-  }
-  auto [zlo, zhi] = sqrt_bracket(Rational{}, 10);
-  EXPECT_TRUE(zlo.is_zero());
-  EXPECT_TRUE(zhi.is_zero());
-}
-
 class RationalFieldLaws : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(RationalFieldLaws, RandomizedAgainstDoubles) {

@@ -60,16 +60,5 @@ TEST(Svd, RequiresTallMatrix) {
   EXPECT_THROW(svd_decompose(Matrix{2, 3}), std::invalid_argument);
 }
 
-TEST(Svd, ConditionNumber) {
-  EXPECT_NEAR(condition_number(Matrix::identity(4)), 1.0, 1e-12);
-  Matrix d = Matrix::diagonal(Vector{100, 1});
-  EXPECT_NEAR(condition_number(d), 100.0, 1e-10);
-  Matrix singular{{1, 2}, {2, 4}};
-  EXPECT_TRUE(std::isinf(condition_number(singular)));
-  // Wide matrices are handled by transposition.
-  Matrix wide{{1, 0, 0}, {0, 2, 0}};
-  EXPECT_NEAR(condition_number(wide), 2.0, 1e-10);
-}
-
 }  // namespace
 }  // namespace spiv::numeric
