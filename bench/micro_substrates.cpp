@@ -44,6 +44,39 @@ void BM_BigIntMultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_BigIntMultiply)->Arg(4)->Arg(16)->Arg(64);
 
+void BM_BigIntDivExact(benchmark::State& state) {
+  // An exact quotient of range(0)-by-range(1) limbs, by Hensel divexact
+  // (range(2) == 1) or Knuth's operator/ (0).  31-by-16 is the average
+  // size-18 Sylvester/Bareiss step; 64-by-32 a heavier late pivot.
+  const auto num_limbs = static_cast<std::size_t>(state.range(0));
+  const auto den_limbs = static_cast<std::size_t>(state.range(1));
+  std::mt19937_64 rng{42};
+  auto random_top_heavy = [&rng](std::size_t limbs) {
+    exact::BigInt acc;
+    for (std::size_t i = 0; i < limbs; ++i) {
+      auto limb = static_cast<std::int64_t>(rng() & 0xffffffffu);
+      if (i == 0) limb |= 0x80000000;
+      acc = acc.shifted_left(32) + exact::BigInt{limb};
+    }
+    return acc;
+  };
+  const exact::BigInt den = random_top_heavy(den_limbs);
+  const exact::BigInt num = random_top_heavy(num_limbs - den_limbs) * den;
+  const bool hensel = state.range(2) == 1;
+  state.SetLabel(hensel ? "divexact" : "operator/");
+  for (auto _ : state) {
+    if (hensel)
+      benchmark::DoNotOptimize(exact::BigInt::divexact(num, den));
+    else
+      benchmark::DoNotOptimize(num / den);
+  }
+}
+BENCHMARK(BM_BigIntDivExact)
+    ->Args({31, 16, 0})
+    ->Args({31, 16, 1})
+    ->Args({64, 32, 0})
+    ->Args({64, 32, 1});
+
 void BM_BigIntGcd(benchmark::State& state) {
   // Operands sharing a large common factor — the shape Rational
   // cross-cancellation feeds the binary gcd on the exact hot path.

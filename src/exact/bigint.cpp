@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <ostream>
 #include <stdexcept>
 
@@ -113,6 +114,152 @@ namespace {
 #define SPIV_KARATSUBA_THRESHOLD 128
 #endif
 constexpr std::size_t kKaratsubaThreshold = SPIV_KARATSUBA_THRESHOLD;
+
+// The exact-division kernels (divexact, cross_divexact) run on 64-bit words,
+// pairs of 32-bit limbs, with 128-bit products: a quarter of the multiply
+// steps of the limb loops.
+using Word = std::uint64_t;
+using DoubleWord = unsigned __int128;
+
+/// Scratch words: inline up to kInline (every operand of the paper's
+/// sizes), heap beyond.  Left uninitialised: every user writes each word
+/// before reading it.
+class Words {
+ public:
+  explicit Words(std::size_t n) {
+    if (n > kInline) heap_ = std::make_unique<Word[]>(n);
+  }
+  Word* data() { return heap_ ? heap_.get() : inline_; }
+
+ private:
+  static constexpr std::size_t kInline = 64;
+  Word inline_[kInline];
+  std::unique_ptr<Word[]> heap_;
+};
+
+std::size_t word_count(std::size_t limbs) { return (limbs + 1) / 2; }
+
+/// Limbs v[0, n) as word_count(n) little-endian words.
+void pack(const detail::LimbVec& v, Word* out) {
+  const std::size_t n = v.size();
+  for (std::size_t i = 0; i + 1 < n; i += 2)
+    out[i / 2] = v[i] | Word{v[i + 1]} << 32;
+  if (n % 2) out[n / 2] = v[n - 1];
+}
+
+/// Words w[0, n) back into trimmed limbs.
+void unpack(const Word* w, std::size_t n, detail::LimbVec& out) {
+  out.resize(2 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[2 * i] = static_cast<std::uint32_t>(w[i]);
+    out[2 * i + 1] = static_cast<std::uint32_t>(w[i] >> 32);
+  }
+  while (!out.empty() && out.back() == 0) out.pop_back();
+}
+
+/// Number of trailing zero bits of a nonzero word magnitude.
+std::size_t trailing_zeros(const Word* w) {
+  std::size_t i = 0;
+  while (w[i] == 0) ++i;
+  return i * 64 + static_cast<std::size_t>(std::countr_zero(w[i]));
+}
+
+/// w[0, n) >>= bits, with n trimmed to the result.
+void shr_words(Word* w, std::size_t& n, std::size_t bits) {
+  if (bits == 0) return;
+  const std::size_t skip = bits / 64;
+  const unsigned shift = bits % 64;
+  n -= skip;
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] = w[i + skip] >> shift;
+    if (shift != 0 && i + 1 < n) w[i] |= w[i + skip + 1] << (64 - shift);
+  }
+  while (n > 0 && w[n - 1] == 0) --n;
+}
+
+/// acc[0, w) += x * y[0, ny) (or -= with `subtract`), ny <= w.  The carry
+/// or borrow runs up through acc; returns what leaves acc[w - 1] (zero iff
+/// the result did not wrap modulo 2^(64w)).
+Word addmul_1(Word* acc, std::size_t w, const Word* y, std::size_t ny, Word x,
+              bool subtract) {
+  Word carry = 0;
+  std::size_t j = 0;
+  if (subtract) {
+    for (; j < ny; ++j) {
+      const DoubleWord p = DoubleWord{x} * y[j] + carry;
+      const auto lo = static_cast<Word>(p);
+      const Word t = acc[j];
+      acc[j] = t - lo;
+      carry = static_cast<Word>(p >> 64) + (t < lo);
+    }
+    for (; carry != 0 && j < w; ++j) {
+      const Word t = acc[j];
+      acc[j] = t - carry;
+      carry = t < carry;
+    }
+  } else {
+    for (; j < ny; ++j) {
+      const DoubleWord cur = DoubleWord{x} * y[j] + acc[j] + carry;
+      acc[j] = static_cast<Word>(cur);
+      carry = static_cast<Word>(cur >> 64);
+    }
+    for (; carry != 0 && j < w; ++j) {
+      const Word t = acc[j] + carry;
+      carry = t < carry;
+      acc[j] = t;
+    }
+  }
+  return carry;
+}
+
+/// acc[0, w) +/-= x[0, nx) * y[0, ny) modulo 2^(64w), row by row.
+void accumulate_product(Word* acc, std::size_t w, const Word* x,
+                        std::size_t nx, const Word* y, std::size_t ny,
+                        bool subtract) {
+  for (std::size_t i = 0; i < nx; ++i)
+    if (x[i] != 0) addmul_1(acc + i, w - i, y, ny, x[i], subtract);
+}
+
+[[noreturn]] void throw_inexact() {
+  throw std::logic_error("BigInt: divexact of an inexact quotient");
+}
+
+/// d^-1 mod 2^64 for odd d: Newton's x <- x(2 - dx) doubles the correct low
+/// bits each step, starting from the 3 that d*d == 1 (mod 8) gives.
+Word inverse_mod_2_64(Word d) {
+  Word x = d;
+  for (int i = 0; i < 5; ++i) x *= 2 - d * x;
+  return x;
+}
+
+/// u[0, nn) / d[0, dn) in place for nonzero trimmed word magnitudes:
+/// returns the quotient's word count, the quotient in u[0, count).  Throws
+/// std::logic_error unless d divides u.
+std::size_t divexact_words(Word* u, std::size_t nn, Word* d, std::size_t dn) {
+  // Strip 2^tz from d; u must carry at least as many factors of two.
+  const std::size_t tz = trailing_zeros(d);
+  if (trailing_zeros(u) < tz) throw_inexact();
+  shr_words(u, nn, tz);
+  shr_words(d, dn, tz);
+  if (nn < dn) throw_inexact();
+  if (dn == 1 && d[0] == 1) return nn;
+  // Step i zeroes u[i] by subtracting q_i * d * 2^(64i), q_i = u[i] / d[0]
+  // mod 2^64, then stores q_i in the freed word.  If d divides u, every
+  // partial quotient is at most the true one, so the running remainder never
+  // borrows out of the top and ends exactly zero.
+  const std::size_t qn = nn - dn + 1;
+  const Word inv = inverse_mod_2_64(d[0]);
+  for (std::size_t i = 0; i < qn; ++i) {
+    const Word q = u[i] * inv;
+    if (q == 0) continue;
+    if (addmul_1(u + i, nn - i, d, dn, q, true) != 0) throw_inexact();
+    u[i] = q;
+  }
+  for (std::size_t i = qn; i < nn; ++i)
+    if (u[i] != 0) throw_inexact();
+  return qn;
+}
+
 }  // namespace
 
 BigInt::BigInt(std::int64_t v) {
@@ -470,6 +617,77 @@ std::pair<BigInt, BigInt> BigInt::div_mod(const BigInt& num, const BigInt& den) 
   q.negative_ = !q.limbs_.empty() && (num.negative_ != den.negative_);
   r.negative_ = !r.limbs_.empty() && num.negative_;
   return {std::move(q), std::move(r)};
+}
+
+BigInt BigInt::divexact(BigInt num, const BigInt& den) {
+  if (den.limbs_.empty()) throw std::domain_error("BigInt: division by zero");
+  const bool negative = num.negative_ != den.negative_;
+  if (num.limbs_.size() <= 2 && den.limbs_.size() <= 2) {
+    const std::uint64_t n = num.mag_u64();
+    const std::uint64_t d = den.mag_u64();
+    if (n % d != 0) throw_inexact();
+    num.set_mag_u128(n / d, negative);
+    return num;
+  }
+  if (num.limbs_.empty()) return num;
+  const std::size_t nn = word_count(num.limbs_.size());
+  const std::size_t dn = word_count(den.limbs_.size());
+  Words u(nn), d(dn);
+  pack(num.limbs_, u.data());
+  pack(den.limbs_, d.data());
+  unpack(u.data(), divexact_words(u.data(), nn, d.data(), dn), num.limbs_);
+  num.negative_ = negative;
+  return num;
+}
+
+BigInt BigInt::cross_divexact(const BigInt& a, const BigInt& b,
+                              const BigInt& c, const BigInt& d,
+                              const BigInt& e) {
+  if (e.limbs_.empty()) throw std::domain_error("BigInt: division by zero");
+  // Past the Karatsuba threshold the row-by-row products would forgo it.
+  if (std::min(a.limbs_.size(), b.limbs_.size()) >= kKaratsubaThreshold ||
+      std::min(c.limbs_.size(), d.limbs_.size()) >= kKaratsubaThreshold)
+    return divexact(a * b - c * d, e);
+  // a*b - c*d = s (|a||b| -/+ |c||d|) with s the sign of a*b: the magnitudes
+  // subtract when the two products share a sign.  w words hold either
+  // product plus a sign bit, so the accumulator is exact in two's
+  // complement.
+  const bool ab_negative = a.negative_ != b.negative_;
+  const bool subtract = ab_negative == (c.negative_ != d.negative_);
+  const std::size_t na = word_count(a.limbs_.size());
+  const std::size_t nb = word_count(b.limbs_.size());
+  const std::size_t nc = word_count(c.limbs_.size());
+  const std::size_t nd = word_count(d.limbs_.size());
+  Words aw(na), bw(nb), cw(nc), dw(nd);
+  pack(a.limbs_, aw.data());
+  pack(b.limbs_, bw.data());
+  pack(c.limbs_, cw.data());
+  pack(d.limbs_, dw.data());
+  const std::size_t w = std::max(na + nb, nc + nd) + 1;
+  Words acc_words(w);
+  Word* acc = acc_words.data();
+  std::fill(acc, acc + w, Word{0});
+  accumulate_product(acc, w, aw.data(), na, bw.data(), nb, false);
+  accumulate_product(acc, w, cw.data(), nc, dw.data(), nd, subtract);
+  bool negative = ab_negative;
+  if (acc[w - 1] >> 63) {  // negative: take the magnitude
+    Word carry = 1;
+    for (std::size_t i = 0; i < w; ++i) {
+      acc[i] = ~acc[i] + carry;
+      carry = carry && acc[i] == 0;
+    }
+    negative = !negative;
+  }
+  std::size_t nn = w;
+  while (nn > 0 && acc[nn - 1] == 0) --nn;
+  if (nn == 0) return {};
+  const std::size_t dn = word_count(e.limbs_.size());
+  Words ew(dn);
+  pack(e.limbs_, ew.data());
+  BigInt out;
+  unpack(acc, divexact_words(acc, nn, ew.data(), dn), out.limbs_);
+  out.negative_ = negative != e.negative_;
+  return out;
 }
 
 BigInt& BigInt::operator/=(const BigInt& rhs) {

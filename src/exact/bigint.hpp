@@ -8,6 +8,14 @@
 // hundred unknowns); multiplication uses schoolbook with uint64
 // accumulation plus Karatsuba above a threshold.
 //
+// Division comes in two kinds.  A quotient known to be exact (a Bareiss
+// step, a gcd or lcm cofactor, a common-denominator scaling) goes through
+// divexact / cross_divexact: Jebelean's 2-adic (Hensel) exact division,
+// which derives each 64-bit quotient word from the low word times an
+// inverse mod 2^64 -- no hardware divide, no normalisation -- and checks
+// that the remainder is zero, throwing std::logic_error when it is not.
+// General division (/, %, div_mod) is Knuth's algorithm D.
+//
 // Storage is allocation-light: values below 2^128 live inline in the
 // BigInt itself (detail::LimbVec keeps 4 limbs in-place), and larger
 // magnitudes draw power-of-two heap blocks from a thread-local pool so the
@@ -211,6 +219,22 @@ class BigInt {
   /// Quotient and remainder in one pass (truncated division).
   [[nodiscard]] static std::pair<BigInt, BigInt> div_mod(const BigInt& num,
                                                          const BigInt& den);
+
+  /// num / den for a division known to be exact (Jebelean, J. Symbolic
+  /// Comput. 15, 1993; GMP's mpz_divexact): strip the power of two from
+  /// den, then take one 64-bit quotient word (a pair of limbs) per step
+  /// from the low word of the running remainder times den's low word
+  /// inverted mod 2^64.  The remainder must end exactly zero; otherwise
+  /// throws std::logic_error, so a broken exactness invariant can never
+  /// become a truncated quotient.  Throws std::domain_error when den == 0.
+  [[nodiscard]] static BigInt divexact(BigInt num, const BigInt& den);
+
+  /// The fused Bareiss step (a*b - c*d) / e, exact by construction: both
+  /// products accumulate into one reused word buffer, which divexact's
+  /// kernel then divides (same throws).  No BigInt temporaries.
+  [[nodiscard]] static BigInt cross_divexact(const BigInt& a, const BigInt& b,
+                                             const BigInt& c, const BigInt& d,
+                                             const BigInt& e);
 
   /// Greatest common divisor, always non-negative. gcd(0,0) == 0.
   /// Binary (Stein) algorithm: shift/subtract only — no divmod per step —

@@ -49,14 +49,16 @@ inline IntSystem clear_denominators(const RatMatrix& a, const RatMatrix* b) {
   for (std::size_t i = 0; i < n; ++i) {
     BigInt& l = sys.row_scales[i];
     auto fold = [&l](const Rational& v) {
-      if (!v.den().is_one()) l = l / BigInt::gcd(l, v.den()) * v.den();
+      if (!v.den().is_one())
+        l = BigInt::divexact(l, BigInt::gcd(l, v.den())) * v.den();
     };
     for (std::size_t j = 0; j < a.cols(); ++j) fold(a(i, j));
     for (std::size_t j = 0; j < k; ++j) fold((*b)(i, j));
     for (std::size_t j = 0; j < a.cols(); ++j)
-      sys.m[i][j] = a(i, j).num() * (l / a(i, j).den());
+      sys.m[i][j] = a(i, j).num() * BigInt::divexact(l, a(i, j).den());
     for (std::size_t j = 0; j < k; ++j)
-      sys.rhs[i][j] = (*b)(i, j).num() * (l / (*b)(i, j).den());
+      sys.rhs[i][j] =
+          (*b)(i, j).num() * BigInt::divexact(l, (*b)(i, j).den());
   }
   // Row bound: |det| <= prod_i ||row_i||_2 <= prod_i sqrt(n) max_j |m_ij|.
   const std::size_t half_log = (std::bit_width(n) + 1) / 2;

@@ -52,7 +52,7 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
       for (std::size_t j = 0; j < n; ++j) {
         const BigInt& den = m(i, j).den();
         if (den.is_one() || den == d) continue;
-        d = d / BigInt::gcd(d, den) * den;
+        d = BigInt::divexact(d, BigInt::gcd(d, den)) * den;
       }
     return d;
   };
@@ -60,7 +60,7 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
     std::vector<BigInt> out(n * n);
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j)
-        out[i * n + j] = m(i, j).num() * (d / m(i, j).den());
+        out[i * n + j] = m(i, j).num() * BigInt::divexact(d, m(i, j).den());
     return out;
   };
   const BigInt da = common_den(a), dp = common_den(p), dq = common_den(q);

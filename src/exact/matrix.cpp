@@ -102,10 +102,12 @@ using detail::clear_denominators;
 
 /// One sweep of fraction-free Bareiss elimination on an integer augmented
 /// system, with smallest-entry pivoting.  Every division by the previous
-/// pivot is exact (Sylvester's identity), so no gcd/normalization runs
-/// inside the elimination.  Returns false when the matrix is singular;
-/// `parity` flips per row swap.  Checks `deadline` at row granularity (the
-/// atomic cancel poll is cheap; Clock::now() only every few rows).
+/// pivot is exact (Sylvester's identity), so each update of M and of the
+/// RHS is one fused BigInt::cross_divexact (Hensel exact division, no
+/// gcd/normalization, throws std::logic_error on a nonzero remainder).
+/// Returns false when the matrix is singular; `parity` flips per row swap.
+/// Checks `deadline` at row granularity (the atomic cancel poll is cheap;
+/// Clock::now() only every few rows).
 bool bareiss_eliminate(IntSystem& sys, const Deadline& deadline,
                        bool* parity) {
   const std::size_t n = sys.m.size();
@@ -138,9 +140,11 @@ bool bareiss_eliminate(IntSystem& sys, const Deadline& deadline,
       // Note: even for f == 0 the row must be rescaled by p/prev to keep
       // every entry a minor of the original matrix (exact divisions).
       for (std::size_t j = col + 1; j < n; ++j)
-        sys.m[r][j] = (p * sys.m[r][j] - f * sys.m[col][j]) / prev;
+        sys.m[r][j] =
+            BigInt::cross_divexact(p, sys.m[r][j], f, sys.m[col][j], prev);
       for (std::size_t j = 0; j < k; ++j)
-        sys.rhs[r][j] = (p * sys.rhs[r][j] - f * sys.rhs[col][j]) / prev;
+        sys.rhs[r][j] =
+            BigInt::cross_divexact(p, sys.rhs[r][j], f, sys.rhs[col][j], prev);
     }
     prev = p;
   }

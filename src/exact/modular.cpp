@@ -502,7 +502,8 @@ void fold_lcm(BigInt& d, const BigInt& den) {
     return;
   }
   if ((d % den).is_zero()) return;
-  d = d / BigInt::gcd(d, den) * den;
+  const BigInt g = BigInt::gcd(d, den);
+  d = BigInt::divexact(std::move(d), g) * den;
 }
 
 }  // namespace
@@ -583,8 +584,8 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
         BigInt w = xs[e] * d_shared % m;
         if (w + w > m) w -= m;  // balanced lift: w in (-m/2, m/2]
         const BigInt g = BigInt::gcd(w, d_shared);
-        BigInt num = w / g;
-        BigInt den = d_shared / g;
+        BigInt num = BigInt::divexact(std::move(w), g);
+        BigInt den = BigInt::divexact(d_shared, g);
         if (num.abs() <= bound && den <= bound) {
           c.value = Rational{std::move(num), std::move(den)};
           c.valid = true;
@@ -617,7 +618,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     std::vector<BigInt> xi(entries);  // X·D, exact integers
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t c = 0; c < k; ++c)
-        xi[i * k + c] = x(i, c).num() * (d / x(i, c).den());
+        xi[i * k + c] = x(i, c).num() * BigInt::divexact(d, x(i, c).den());
     std::atomic<bool> ok{true};
     std::atomic<bool> abandoned{false};
     core::for_each_block(

@@ -24,8 +24,8 @@ void Rational::normalize() {
   }
   BigInt g = BigInt::gcd(num_, den_);
   if (!g.is_one()) {
-    num_ /= g;
-    den_ /= g;
+    num_ = BigInt::divexact(std::move(num_), g);
+    den_ = BigInt::divexact(std::move(den_), g);
   }
 }
 
@@ -134,10 +134,10 @@ Rational& Rational::operator*=(const Rational& rhs) {
   // (larger) intermediates is needed.  Temporaries keep `r *= r` correct.
   const BigInt g1 = BigInt::gcd(num_, rhs.den_);
   const BigInt g2 = BigInt::gcd(rhs.num_, den_);
-  BigInt new_num = (g1.is_one() ? num_ : num_ / g1) *
-                   (g2.is_one() ? rhs.num_ : rhs.num_ / g2);
-  BigInt new_den = (g2.is_one() ? den_ : den_ / g2) *
-                   (g1.is_one() ? rhs.den_ : rhs.den_ / g1);
+  BigInt new_num = (g1.is_one() ? num_ : BigInt::divexact(num_, g1)) *
+                   (g2.is_one() ? rhs.num_ : BigInt::divexact(rhs.num_, g2));
+  BigInt new_den = (g2.is_one() ? den_ : BigInt::divexact(den_, g2)) *
+                   (g1.is_one() ? rhs.den_ : BigInt::divexact(rhs.den_, g1));
   num_ = std::move(new_num);
   den_ = std::move(new_den);
   if (num_.is_zero()) den_ = BigInt{1};
@@ -150,10 +150,10 @@ Rational& Rational::operator/=(const Rational& rhs) {
   // with rhs.den_ so the intermediates stay small.
   const BigInt g1 = BigInt::gcd(num_, rhs.num_);
   const BigInt g2 = BigInt::gcd(den_, rhs.den_);
-  BigInt new_num = (g1.is_one() ? num_ : num_ / g1) *
-                   (g2.is_one() ? rhs.den_ : rhs.den_ / g2);
-  BigInt new_den = (g2.is_one() ? den_ : den_ / g2) *
-                   (g1.is_one() ? rhs.num_ : rhs.num_ / g1);
+  BigInt new_num = (g1.is_one() ? num_ : BigInt::divexact(num_, g1)) *
+                   (g2.is_one() ? rhs.den_ : BigInt::divexact(rhs.den_, g2));
+  BigInt new_den = (g2.is_one() ? den_ : BigInt::divexact(den_, g2)) *
+                   (g1.is_one() ? rhs.num_ : BigInt::divexact(rhs.num_, g1));
   if (new_den.is_negative()) {
     new_num = new_num.negated();
     new_den = new_den.negated();

@@ -41,9 +41,11 @@ using IntRows = std::vector<std::vector<BigInt>>;
 /// Sylvester criterion with early exit, by fraction-free Bareiss elimination
 /// of an integer matrix without row swaps: pivot k is the k-th leading
 /// principal minor, so the scan stops at the first minor <= 0.  Every
-/// division by the previous pivot is exact (Sylvester's identity), so no gcd
-/// runs inside the loop.  Returns Valid iff every leading principal minor
-/// is strictly positive.
+/// division by the previous pivot is exact (Sylvester's identity), so each
+/// entry update is one fused BigInt::cross_divexact -- two products and a
+/// Hensel exact division, no gcd and no remainder -- whose zero-remainder
+/// self-check throws std::logic_error rather than return a truncated minor.
+/// Returns Valid iff every leading principal minor is strictly positive.
 Outcome sylvester_strict(IntRows m, const Deadline& deadline) {
   const std::size_t n = m.size();
   BigInt prev{1};
@@ -56,11 +58,8 @@ Outcome sylvester_strict(IntRows m, const Deadline& deadline) {
       const BigInt f = std::move(m[r][col]);
       // Even for f == 0 the row is rescaled by pivot/prev, which keeps every
       // entry a minor of the input (and the next division exact).
-      for (std::size_t j = col + 1; j < n; ++j) {
-        BigInt t = pivot * m[r][j];
-        if (!f.is_zero()) t -= f * m[col][j];
-        m[r][j] = prev.is_one() ? std::move(t) : t / prev;
-      }
+      for (std::size_t j = col + 1; j < n; ++j)
+        m[r][j] = BigInt::cross_divexact(pivot, m[r][j], f, m[col][j], prev);
     }
     prev = pivot;
   }
@@ -212,7 +211,7 @@ BigInt common_denominator(const RatMatrix& m) {
   for (std::size_t i = 0; i < m.rows(); ++i)
     for (std::size_t j = 0; j < m.cols(); ++j) {
       const BigInt& d = m(i, j).den();
-      if (!d.is_one()) l = l / BigInt::gcd(l, d) * d;
+      if (!d.is_one()) l = BigInt::divexact(l, BigInt::gcd(l, d)) * d;
     }
   return l;
 }
@@ -222,7 +221,7 @@ IntRows scaled_integers(const RatMatrix& m, const BigInt& scale) {
   IntRows out(m.rows(), std::vector<BigInt>(m.cols()));
   for (std::size_t i = 0; i < m.rows(); ++i)
     for (std::size_t j = 0; j < m.cols(); ++j)
-      out[i][j] = m(i, j).num() * (scale / m(i, j).den());
+      out[i][j] = m(i, j).num() * BigInt::divexact(scale, m(i, j).den());
   return out;
 }
 

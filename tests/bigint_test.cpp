@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <random>
 #include <string>
+#include <vector>
 
 namespace spiv::exact {
 namespace {
@@ -245,6 +246,143 @@ TEST(BigInt, SmallOperandFastPathsMatchWideReference) {
     EXPECT_EQ(r_small * scale, r_wide);
     EXPECT_EQ(BigInt::gcd(bx, by) * scale, BigInt::gcd(bx * scale, by * scale));
   }
+}
+
+/// A uniformly random magnitude of exactly `limbs` limbs (top limb nonzero).
+BigInt random_limbs(std::mt19937_64& rng, std::size_t limbs) {
+  BigInt acc;
+  for (std::size_t i = 0; i < limbs; ++i) {
+    std::int64_t limb = static_cast<std::int64_t>(rng() & 0xffffffffu);
+    if (i == 0 && limb == 0) limb = 1;
+    acc = acc.shifted_left(32) + BigInt{limb};
+  }
+  return acc;
+}
+
+TEST(BigIntDivExact, MatchesQuotientAcrossSignsAndSizes) {
+  // divexact(q*d, d) == q == (q*d)/d for limb counts 1..~300 (past the
+  // Karatsuba threshold), divisors with whole zero low limbs plus odd bit
+  // shifts, and all four sign combinations.
+  std::mt19937_64 rng{2024};
+  const std::size_t sizes[] = {1, 2, 3, 4, 5, 8, 16, 31, 64, 129, 300};
+  const BigInt two40 = BigInt{1}.shifted_left(40);
+  for (std::size_t qs : sizes)
+    for (std::size_t ds : sizes) {
+      const BigInt odd = random_limbs(rng, ds) * BigInt{2} + BigInt{1};
+      const BigInt divisors[] = {random_limbs(rng, ds), two40 * odd,
+                                 odd.shifted_left(rng() % 97), BigInt{1},
+                                 BigInt{1}.shifted_left(rng() % 200)};
+      const BigInt q0 = random_limbs(rng, qs);
+      for (const BigInt& d0 : divisors)
+        for (int signs = 0; signs < 4; ++signs) {
+          const BigInt q = signs & 1 ? q0.negated() : q0;
+          const BigInt d = signs & 2 ? d0.negated() : d0;
+          const BigInt num = q * d;
+          const BigInt got = BigInt::divexact(num, d);
+          ASSERT_EQ(got, q) << "q limbs " << qs << ", d limbs " << ds;
+          ASSERT_EQ(got, num / d);
+        }
+    }
+  EXPECT_EQ(BigInt::divexact(BigInt{}, BigInt{-7}), BigInt{});
+  EXPECT_FALSE(BigInt::divexact(BigInt{}, BigInt{-7}).is_negative());
+  EXPECT_EQ(BigInt::divexact(BigInt{-42}, BigInt{6}), BigInt{-7});
+}
+
+TEST(BigIntDivExact, CrossDivExactMatchesBareissSteps) {
+  // Fraction-free elimination of random integer matrices: every update
+  // (a*b - c*d)/e is exact by Sylvester's identity.
+  std::mt19937_64 rng{31};
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n = 3 + rng() % 8;
+    std::vector<std::vector<BigInt>> m(n, std::vector<BigInt>(n));
+    for (auto& row : m)
+      for (BigInt& v : row) {
+        v = random_limbs(rng, 1 + rng() % 6);
+        if (rng() % 2) v = v.negated();
+        if (rng() % 7 == 0) v = BigInt{};
+      }
+    BigInt prev{1};
+    for (std::size_t col = 0; col < n; ++col) {
+      if (m[col][col].is_zero()) break;
+      for (std::size_t r = col + 1; r < n; ++r)
+        for (std::size_t j = col + 1; j < n; ++j) {
+          const BigInt& a = m[col][col];
+          const BigInt want = (a * m[r][j] - m[r][col] * m[col][j]) / prev;
+          const BigInt got =
+              BigInt::cross_divexact(a, m[r][j], m[r][col], m[col][j], prev);
+          ASSERT_EQ(got, want);
+          m[r][j] = got;
+        }
+      prev = m[col][col];
+    }
+  }
+  // Long operands, with a, c multiples of e: products past the Karatsuba
+  // threshold, and lopsided ones below it.
+  for (int trial = 0; trial < 16; ++trial) {
+    BigInt e = random_limbs(rng, 1 + rng() % 40);
+    if (rng() % 2) e = e.negated();
+    BigInt x = random_limbs(rng, 130 + rng() % 40);
+    BigInt b = random_limbs(rng, trial % 2 ? 1 + rng() % 5 : 130 + rng() % 40);
+    BigInt d = random_limbs(rng, 150 + rng() % 40);
+    if (rng() % 2) b = b.negated();
+    if (rng() % 2) d = d.negated();
+    const BigInt got = BigInt::cross_divexact(e * x, b, e, d, e);
+    EXPECT_EQ(got, x * b - d);
+    EXPECT_EQ(got, (e * x * b - e * d) / e);
+  }
+  // Cancellation to zero, a zero product, and each sign of the result.
+  EXPECT_EQ(BigInt::cross_divexact(BigInt{6}, BigInt{5}, BigInt{10}, BigInt{3},
+                                   BigInt{7}),
+            BigInt{});
+  EXPECT_EQ(BigInt::cross_divexact(BigInt{}, BigInt{5}, BigInt{-4}, BigInt{3},
+                                   BigInt{-6}),
+            BigInt{-2});
+  EXPECT_EQ(BigInt::cross_divexact(BigInt{2}, BigInt{3}, BigInt{4}, BigInt{3},
+                                   BigInt{3}),
+            BigInt{-2});
+}
+
+TEST(BigIntDivExact, InexactInputsThrowLogicError) {
+  std::mt19937_64 rng{5};
+  const BigInt d = random_limbs(rng, 6) * BigInt{2} + BigInt{1};
+  const BigInt q = random_limbs(rng, 9);
+  // |num| < |den|, single- and multi-limb.
+  EXPECT_THROW((void)BigInt::divexact(BigInt{5}, BigInt{7}), std::logic_error);
+  EXPECT_THROW((void)BigInt::divexact(d - BigInt{2}, d), std::logic_error);
+  EXPECT_THROW((void)BigInt::divexact(q, q * q), std::logic_error);
+  // A remainder only in the top limb: the low limbs agree with q*d.
+  const BigInt num = q * d;
+  const BigInt top = BigInt{1}.shifted_left(32 * (num.limb_count() - 1));
+  EXPECT_THROW((void)BigInt::divexact(num + top, d), std::logic_error);
+  EXPECT_THROW((void)BigInt::divexact((num + top).negated(), d),
+               std::logic_error);
+  // A remainder only in the stripped low bits of an even divisor.
+  const BigInt even = d.shifted_left(45);
+  EXPECT_THROW((void)BigInt::divexact(q * even + BigInt{1}.shifted_left(44), even),
+               std::logic_error);
+  EXPECT_THROW((void)BigInt::divexact(q * even + BigInt{1}, even),
+               std::logic_error);
+  // Two-limb operands and the fused step.
+  const BigInt two64m2{"18446744073709551614"};  // 2^64 - 2
+  EXPECT_THROW((void)BigInt::divexact(two64m2, BigInt{3}), std::logic_error);
+  EXPECT_THROW((void)BigInt::divexact(two64m2, BigInt{"4294967297"}),
+               std::logic_error);
+  EXPECT_THROW((void)BigInt::cross_divexact(BigInt{6}, BigInt{5}, BigInt{1},
+                                            BigInt{1}, BigInt{7}),
+               std::logic_error);
+  EXPECT_THROW((void)BigInt::cross_divexact(q, d, BigInt{1}, BigInt{1}, d),
+               std::logic_error);
+}
+
+TEST(BigIntDivExact, DivisionByZeroThrowsDomainError) {
+  EXPECT_THROW((void)BigInt::divexact(BigInt{5}, BigInt{}), std::domain_error);
+  EXPECT_THROW((void)BigInt::divexact(BigInt{}, BigInt{}), std::domain_error);
+  EXPECT_THROW((void)BigInt::divexact(BigInt{"123456789012345678901234567890"},
+                                      BigInt{}),
+               std::domain_error);
+  EXPECT_THROW((void)BigInt::cross_divexact(BigInt{1}, BigInt{2}, BigInt{3},
+                                            BigInt{4}, BigInt{}),
+               std::domain_error);
 }
 
 class BigIntRandomProperty : public ::testing::TestWithParam<unsigned> {};
