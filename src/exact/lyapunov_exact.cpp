@@ -4,6 +4,7 @@
 #include <chrono>
 #include <stdexcept>
 
+#include "exact/int_system.hpp"
 #include "exact/modular.hpp"
 #include "obs/metrics.hpp"
 
@@ -28,11 +29,11 @@ obs::Histogram& residual_check_seconds() {
 [[maybe_unused]] const bool kResidualMetricRegistered =
     (residual_check_seconds(), true);
 
-/// Exact check that A^T P + P A + Q == 0, performed over the integers: the
-/// rational form would pay a multi-thousand-bit gcd per entry product (P's
-/// entries carry det-sized numerators), which is slower than the solve it
-/// is guarding.  Scaling each matrix by the lcm of its denominators turns
-/// the whole residual into BigInt multiply/accumulate.
+/// Exact check that A^T P + P A + Q == 0 for a symmetric P, performed over
+/// the integers: the rational form would pay a multi-thousand-bit gcd per
+/// entry product (P's entries carry det-sized numerators), which is slower
+/// than the solve it is guarding.  Scaling each matrix by the lcm of its
+/// denominators turns the whole residual into BigInt multiply/accumulate.
 bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
                                const RatMatrix& q,
                                const Deadline& deadline) {
@@ -45,42 +46,23 @@ bool lyapunov_residual_is_zero(const RatMatrix& a, const RatMatrix& p,
               .count());
     }
   } observe{t0};
+  using detail::common_denominator;
+  using detail::scaled_integers;
   const std::size_t n = a.rows();
-  const auto common_den = [n](const RatMatrix& m) {
-    BigInt d{1};
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) {
-        const BigInt& den = m(i, j).den();
-        if (den.is_one() || den == d) continue;
-        d = BigInt::divexact(d, BigInt::gcd(d, den)) * den;
-      }
-    return d;
-  };
-  const auto scaled = [n](const RatMatrix& m, const BigInt& d) {
-    std::vector<BigInt> out(n * n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j)
-        out[i * n + j] = m(i, j).num() * BigInt::divexact(d, m(i, j).den());
-    return out;
-  };
-  const BigInt da = common_den(a), dp = common_den(p), dq = common_den(q);
-  const std::vector<BigInt> ai = scaled(a, da);
-  const std::vector<BigInt> pi = scaled(p, dp);
-  const std::vector<BigInt> qi = scaled(q, dq);
+  const BigInt da = common_denominator(a);
+  const BigInt dp = common_denominator(p);
+  const BigInt dq = common_denominator(q);
+  const detail::IntRows qi = scaled_integers(q, dq);
+  // Pi Ai + Ai^T Pi, polling the deadline per row (Pi is symmetric).
+  const detail::IntRows form = detail::symmetric_lie_form(
+      scaled_integers(p, dp), scaled_integers(a, da), deadline);
   // (Ai^T Pi + Pi Ai) dq + Qi da dp == 0  <=>  (A^T P + P A + Q) da dp dq == 0.
   const BigInt qscale = da * dp;
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) {
-      deadline.check();
-      BigInt acc;
-      for (std::size_t l = 0; l < n; ++l) {
-        if (!ai[l * n + i].is_zero() && !pi[l * n + j].is_zero())
-          acc += ai[l * n + i] * pi[l * n + j];  // (A^T)(i,l) P(l,j)
-        if (!pi[i * n + l].is_zero() && !ai[l * n + j].is_zero())
-          acc += pi[i * n + l] * ai[l * n + j];  // P(i,l) A(l,j)
-      }
-      if (!(acc * dq + qi[i * n + j] * qscale).is_zero()) return false;
-    }
+  for (std::size_t i = 0; i < n; ++i) {
+    deadline.check();
+    for (std::size_t j = 0; j < n; ++j)
+      if (!(form[i][j] * dq + qi[i][j] * qscale).is_zero()) return false;
+  }
   return true;
 }
 

@@ -252,65 +252,6 @@ std::optional<RatMatrix> RatMatrix::inverse() const {
   return solve(identity(rows_));
 }
 
-std::size_t RatMatrix::rank() const {
-  RatMatrix m = *this;
-  std::size_t rank = 0;
-  std::size_t row = 0;
-  for (std::size_t col = 0; col < cols_ && row < rows_; ++col) {
-    std::size_t pivot = rows_;
-    for (std::size_t r = row; r < rows_; ++r) {
-      if (!m(r, col).is_zero()) {
-        pivot = r;
-        break;
-      }
-    }
-    if (pivot == rows_) continue;
-    if (pivot != row)
-      for (std::size_t j = 0; j < cols_; ++j) std::swap(m(pivot, j), m(row, j));
-    const Rational inv_pivot = m(row, col).reciprocal();
-    for (std::size_t r = row + 1; r < rows_; ++r) {
-      if (m(r, col).is_zero()) continue;
-      const Rational factor = m(r, col) * inv_pivot;
-      for (std::size_t j = col; j < cols_; ++j) {
-        if (m(row, j).is_zero()) continue;
-        m(r, j) -= factor * m(row, j);
-      }
-    }
-    ++row;
-    ++rank;
-  }
-  return rank;
-}
-
-std::optional<RatLdlt> RatMatrix::ldlt() const {
-  if (!is_square())
-    throw std::invalid_argument("RatMatrix: ldlt requires square");
-  const std::size_t n = rows_;
-  RatMatrix l = identity(n);
-  std::vector<Rational> d(n);
-  // Column-by-column: d_j = a_jj - sum_k l_jk^2 d_k;
-  // l_ij = (a_ij - sum_k l_ik l_jk d_k)/d_j.
-  for (std::size_t j = 0; j < n; ++j) {
-    Rational dj = (*this)(j, j);
-    for (std::size_t k = 0; k < j; ++k) {
-      if (l(j, k).is_zero() || d[k].is_zero()) continue;
-      dj -= l(j, k) * l(j, k) * d[k];
-    }
-    if (dj.is_zero()) return std::nullopt;
-    d[j] = dj;
-    const Rational inv_dj = dj.reciprocal();
-    for (std::size_t i = j + 1; i < n; ++i) {
-      Rational acc = (*this)(i, j);
-      for (std::size_t k = 0; k < j; ++k) {
-        if (l(i, k).is_zero() || l(j, k).is_zero() || d[k].is_zero()) continue;
-        acc -= l(i, k) * l(j, k) * d[k];
-      }
-      l(i, j) = acc * inv_dj;
-    }
-  }
-  return RatLdlt{std::move(l), std::move(d)};
-}
-
 Rational RatMatrix::quad_form(const std::vector<Rational>& x) const {
   if (!is_square() || x.size() != rows_)
     throw std::invalid_argument("RatMatrix: quad_form shape mismatch");

@@ -91,16 +91,6 @@ class RatMatrix {
   /// Exact inverse.  Returns nullopt when singular.
   [[nodiscard]] std::optional<RatMatrix> inverse() const;
 
-  /// Rank via exact elimination.
-  [[nodiscard]] std::size_t rank() const;
-
-  /// LDL^T decomposition of a symmetric matrix without pivoting:
-  /// M = L D L^T with unit-lower-triangular L and diagonal D.  Fails (returns
-  /// nullopt) when a zero pivot is encountered, which for our use (testing
-  /// positive definiteness) already implies "not PD" when all previous pivots
-  /// were positive.
-  [[nodiscard]] std::optional<struct RatLdlt> ldlt() const;
-
   /// Quadratic form x^T M x.
   [[nodiscard]] Rational quad_form(const std::vector<Rational>& x) const;
 
@@ -113,12 +103,6 @@ class RatMatrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<Rational> data_;
-};
-
-/// Result of RatMatrix::ldlt(): M = L D L^T.
-struct RatLdlt {
-  RatMatrix l;              ///< unit lower triangular
-  std::vector<Rational> d;  ///< diagonal of D
 };
 
 /// Build an exact matrix from a row-major double buffer, rounding each entry

@@ -196,61 +196,6 @@ void solve_one_prime(const detail::IntSystem& sys, std::size_t n,
   metrics().prime_solve_seconds.observe(seconds_since(t0));
 }
 
-struct PrimeDet {
-  std::uint64_t prime = 0;
-  PrimeStatus status = PrimeStatus::Abandoned;
-  std::uint64_t det = 0;  ///< plain residue (0 is a legitimate value here)
-};
-
-void det_one_prime(const detail::IntSystem& sys, std::size_t n,
-                   const Deadline& deadline, PrimeDet& out) {
-  const auto t0 = Clock::now();
-  const Montgomery62 mont{out.prime};
-  const std::uint64_t p = out.prime;
-  std::vector<std::uint64_t> t(n * n);
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j)
-      t[i * n + j] = mont.to_mont(sys.m[i][j].mod_u64(p));
-  std::uint64_t det = mont.one();
-  bool negate = false;
-  for (std::size_t col = 0; col < n; ++col) {
-    if (deadline.expired()) return;
-    std::size_t pivot = n;
-    for (std::size_t r = col; r < n; ++r) {
-      if (t[r * n + col] != 0) {
-        pivot = r;
-        break;
-      }
-    }
-    if (pivot == n) {
-      out.det = 0;  // det == 0 mod p: the answer, not an unlucky prime
-      out.status = PrimeStatus::Ok;
-      return;
-    }
-    if (pivot != col) {
-      std::swap_ranges(t.begin() + static_cast<std::ptrdiff_t>(pivot * n),
-                       t.begin() + static_cast<std::ptrdiff_t>((pivot + 1) * n),
-                       t.begin() + static_cast<std::ptrdiff_t>(col * n));
-      negate = !negate;
-    }
-    det = mont.mul(det, t[col * n + col]);
-    const std::uint64_t inv_pivot = mont.inv(t[col * n + col]);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const std::uint64_t lead = t[r * n + col];
-      if (lead == 0) continue;
-      const std::uint64_t f = mont.mul(lead, inv_pivot);
-      t[r * n + col] = 0;
-      for (std::size_t j = col + 1; j < n; ++j)
-        t[r * n + j] = mont.sub(t[r * n + j], mont.mul(f, t[col * n + j]));
-    }
-  }
-  det = mont.from_mont(det);
-  if (negate && det != 0) det = p - det;
-  out.det = det;
-  out.status = PrimeStatus::Ok;
-  metrics().prime_solve_seconds.observe(seconds_since(t0));
-}
-
 // --------------------------------------------------------------- CRT fold
 
 /// a^{-1} mod m (extended Euclid), for gcd(a, m) == 1; result in [0, m).
@@ -459,6 +404,11 @@ std::optional<Rational> rational_reconstruct(const BigInt& u, const BigInt& m,
 
 namespace {
 
+/// First trial-reconstruction checkpoint, in lucky primes folded; the
+/// schedule doubles from there.  Purely a performance constant: any
+/// schedule yields the same result.
+constexpr std::size_t kFirstCheckpoint = 4;
+
 /// Cached reconstruction candidate for one solution entry.  Entries whose
 /// denominators are small reconstruct at early checkpoints; afterwards
 /// each new prime only costs the word-mod congruence recheck in
@@ -523,7 +473,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   const std::size_t budget_bits = sys.solve_budget_bits;
   const std::size_t jobs = core::resolve_jobs(options.jobs);
   const std::size_t batch = std::max<std::size_t>(jobs, 8);
-  std::size_t checkpoint = options.checkpoint;
+  std::size_t checkpoint = kFirstCheckpoint;
 
   const std::size_t entries = n * k;
   std::vector<BigInt> xs(entries);  // CRT images of the solution entries
@@ -708,7 +658,7 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
     if (primes_used >= checkpoint && m.bit_length() < budget_bits) {
       checkpoint = primes_used * 2;
       if (auto x = attempt(false)) {
-        if (!options.verify || verify_solution(*x))
+        if (verify_solution(*x))
           return finish(true, std::move(x));
         // A spurious candidate survived the congruence checks; none of the
         // caches can be trusted until more primes arrive.
@@ -722,84 +672,12 @@ std::optional<RatMatrix> solve_rational_modular(const RatMatrix& a,
   // a failure after that means singular (or pathological), which the
   // caller resolves via Bareiss.
   auto x = attempt(false);
-  if (x && options.verify && !verify_solution(*x)) x.reset();
+  if (x && !verify_solution(*x)) x.reset();
   if (!x) {
     x = attempt(true);
-    if (x && options.verify && !verify_solution(*x)) x.reset();
+    if (x && !verify_solution(*x)) x.reset();
   }
   return finish(false, std::move(x));
-}
-
-// ------------------------------------------------------------ determinant
-
-Rational determinant_modular(const RatMatrix& mat, const Deadline& deadline,
-                             const ModularOptions& options) {
-  if (!mat.is_square())
-    throw std::invalid_argument("determinant_modular: square required");
-  const std::size_t n = mat.rows();
-  if (n == 0) return Rational{1};
-  deadline.check();
-  const detail::IntSystem sys = detail::clear_denominators(mat, nullptr);
-  const std::size_t budget_bits = sys.det_bound_bits + 2;
-  const std::size_t jobs = core::resolve_jobs(options.jobs);
-  const std::size_t batch = std::max<std::size_t>(jobs, 8);
-
-  std::vector<BigInt> xs(1);
-  BigInt m{1};
-  std::size_t prime_index = 0;
-  std::uint64_t primes_used = 0;
-  double elim_s = 0, crt_s = 0;
-  while (m.bit_length() < budget_bits) {
-    deadline.check();
-    std::vector<PrimeDet> results(batch);
-    for (std::size_t i = 0; i < batch; ++i)
-      results[i].prime = modular_prime(prime_index++);
-    {
-      obs::Span span{"modular-elim"};
-      PhaseTimer timer{elim_s};
-      core::for_each_job(batch, jobs,
-                         [&](std::size_t i, const CancelToken& /*token*/) {
-                           det_one_prime(sys, n, deadline, results[i]);
-                         });
-    }
-    deadline.check();
-    std::vector<std::uint64_t> fold_primes;
-    std::vector<std::uint64_t> fold_dets;
-    BigInt m_run = m;
-    for (const PrimeDet& r : results) {
-      if (r.status != PrimeStatus::Ok) continue;
-      if (m_run.bit_length() >= budget_bits) break;
-      fold_primes.push_back(r.prime);
-      fold_dets.push_back(r.det);
-      m_run *= BigInt{static_cast<std::int64_t>(r.prime)};
-    }
-    std::vector<const std::uint64_t*> fold_residues;
-    fold_residues.reserve(fold_primes.size());
-    for (const std::uint64_t& det : fold_dets) fold_residues.push_back(&det);
-    {
-      obs::Span span{"modular-crt"};
-      PhaseTimer timer{crt_s};
-      detail::crt_fold_batch(xs, m, fold_residues, fold_primes, jobs);
-    }
-    primes_used += fold_primes.size();
-  }
-  metrics().primes_used.add(primes_used);
-  metrics().elim_seconds.observe(elim_s);
-  metrics().crt_seconds.observe(crt_s);
-  if (options.stats) {
-    ModularStats s;
-    s.primes_used = primes_used;
-    s.elim_seconds = elim_s;
-    s.crt_seconds = crt_s;
-    *options.stats = s;
-  }
-  // Balanced representative: the scaled determinant is an integer with
-  // |det| < 2^(budget_bits-1) <= m/2.
-  BigInt det = std::move(xs[0]);
-  if (det + det > m) det -= m;
-  BigInt scale{1};
-  for (const BigInt& l : sys.row_scales) scale *= l;
-  return Rational{std::move(det), std::move(scale)};
 }
 
 }  // namespace spiv::exact

@@ -1,4 +1,4 @@
-// spiv::exact — multi-modular exact linear algebra.
+// spiv::exact — multi-modular exact linear solve.
 //
 // The paper's eq-smt method (§VI-B1) solves the Lyapunov equation in exact
 // rational arithmetic; fraction-free Bareiss over ever-growing BigInt
@@ -9,7 +9,10 @@
 // residues by CRT, and recover the rational solution by Wang-style rational
 // reconstruction.  A Hadamard bound caps the prime budget; trial
 // reconstruction at doubling checkpoints exits far earlier on typical
-// inputs, and an exact A·X = B recheck makes the early exit sound.
+// inputs.  Every returned solution, early or at the full budget, has
+// passed an exact A·X = B recheck, which makes the early exit sound.
+// Determinants are not computed here: RatMatrix::determinant (Bareiss) is
+// the one exact determinant kernel.
 //
 // Per-prime solves are independent, so they fan out over core::JobPool.
 // Residues are CRT-folded in prime-order batches through a balanced
@@ -61,13 +64,6 @@ struct ModularOptions {
   /// 1 = serial on the calling thread.  Results are identical for any
   /// value.
   std::size_t jobs = 0;
-  /// Recheck A·X == B exactly after reconstruction (makes the early exit
-  /// sound; cheap next to the elimination it replaces).
-  bool verify = true;
-  /// First trial-reconstruction checkpoint, in lucky primes folded; the
-  /// schedule doubles from there.  Purely a performance knob: any schedule
-  /// yields the same result.
-  std::size_t checkpoint = 4;
   ModularStats* stats = nullptr;  ///< optional out-param
 };
 
@@ -78,19 +74,12 @@ struct ModularOptions {
 
 /// Exact solve A X = B for square A by the multi-modular method.  Returns
 /// nullopt when A is singular *or* when reconstruction fails — callers fall
-/// back to Bareiss, which decides singularity exactly.  With
-/// options.verify (default) a returned matrix is a proven solution.
+/// back to Bareiss, which decides singularity exactly.  A returned matrix
+/// is always verified (A·X == B exactly), so it is a proven solution.
 /// Throws TimeoutError when `deadline` expires.
 [[nodiscard]] std::optional<RatMatrix> solve_rational_modular(
     const RatMatrix& a, const RatMatrix& b, const Deadline& deadline = {},
     const ModularOptions& options = {});
-
-/// Exact determinant by per-prime elimination + CRT, run to the full
-/// Hadamard budget (no early exit, hence deterministic with no recheck
-/// needed).  Used by the charpoly validation engines for larger matrices.
-[[nodiscard]] Rational determinant_modular(const RatMatrix& m,
-                                           const Deadline& deadline = {},
-                                           const ModularOptions& options = {});
 
 /// Montgomery arithmetic modulo an odd prime p < 2^62.  Values live in
 /// Montgomery form (x·2^64 mod p); a multiply is two 64x64->128 products
@@ -101,8 +90,6 @@ class Montgomery62 {
   explicit Montgomery62(std::uint64_t p);
 
   [[nodiscard]] std::uint64_t modulus() const { return p_; }
-  /// 1 in Montgomery form.
-  [[nodiscard]] std::uint64_t one() const { return r1_; }
   /// x < p into Montgomery form.
   [[nodiscard]] std::uint64_t to_mont(std::uint64_t x) const {
     return mul(x, r2_);
@@ -139,8 +126,9 @@ class Montgomery62 {
 };
 
 /// Wang-style rational reconstruction: the unique n/d with |n|, d <= bound,
-/// gcd(n, d) = 1 and n == u·d (mod m), if one exists.  `bound` defaults to
-/// the balanced floor(sqrt((m-1)/2)) when callers pass none.
+/// gcd(n, d) = 1 and n == u·d (mod m), if one exists.  `bound` has no
+/// default; the solver passes the balanced floor(sqrt((m-1)/2)), under
+/// which any such n/d is unique.
 [[nodiscard]] std::optional<Rational> rational_reconstruct(const BigInt& u,
                                                            const BigInt& m,
                                                            const BigInt& bound);

@@ -2,34 +2,10 @@
 
 #include <stdexcept>
 
-#include "exact/modular.hpp"
-
 namespace spiv::smt {
 
 using exact::RatMatrix;
 using exact::Rational;
-
-namespace {
-
-/// Smallest node matrix whose determinant goes through the modular path.
-/// Below it the whole Bareiss elimination stays in single-limb territory
-/// and the CRT bookkeeping costs more than it saves.
-constexpr std::size_t kModularDeterminantMinDim = 6;
-
-/// Exact determinant for one interpolation node.  Runs the modular path
-/// serially (jobs = 1): the engine is itself invoked from parallel
-/// validation sweeps, and nesting job pools inside each node would
-/// oversubscribe the machine.
-Rational node_determinant(const RatMatrix& shifted, const Deadline& deadline) {
-  if (shifted.rows() >= kModularDeterminantMinDim) {
-    exact::ModularOptions options;
-    options.jobs = 1;
-    return exact::determinant_modular(shifted, deadline, options);
-  }
-  return shifted.determinant(deadline);
-}
-
-}  // namespace
 
 std::vector<Rational> characteristic_polynomial_faddeev(
     const RatMatrix& m, const Deadline& deadline) {
@@ -66,10 +42,10 @@ std::vector<Rational> characteristic_polynomial_interpolation(
     RatMatrix shifted = -m;
     for (std::size_t i = 0; i < n; ++i)
       shifted(i, i) += Rational{static_cast<std::int64_t>(k)};
-    // Each determinant is the engine's dominant cost; pass the deadline so
-    // a cancellation preempts inside the elimination, not just between
-    // interpolation nodes.
-    values[k] = node_determinant(shifted, deadline);
+    // Each determinant (fraction-free Bareiss at every size) is the
+    // engine's dominant cost; pass the deadline so a cancellation preempts
+    // inside the elimination, not just between interpolation nodes.
+    values[k] = shifted.determinant(deadline);
   }
   // Newton's divided differences on integer nodes, then expand to the
   // monomial basis.

@@ -35,8 +35,7 @@ std::optional<Engine> engine_from_string(const std::string& name) {
 
 namespace {
 
-/// Square integer matrix as rows (the layout of exact::detail::IntSystem).
-using IntRows = std::vector<std::vector<BigInt>>;
+using exact::detail::IntRows;
 
 /// Sylvester criterion with early exit, by fraction-free Bareiss elimination
 /// of an integer matrix without row swaps: pivot k is the k-th leading
@@ -205,26 +204,6 @@ Outcome decide(const RatMatrix& m, Engine engine, const CheckOptions& options,
   throw std::logic_error("check_positive_definite: unknown engine");
 }
 
-/// Least common multiple of the entry denominators of `m`.
-BigInt common_denominator(const RatMatrix& m) {
-  BigInt l{1};
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j) {
-      const BigInt& d = m(i, j).den();
-      if (!d.is_one()) l = BigInt::divexact(l, BigInt::gcd(l, d)) * d;
-    }
-  return l;
-}
-
-/// The integer matrix scale * m; `scale` is a common denominator of m.
-IntRows scaled_integers(const RatMatrix& m, const BigInt& scale) {
-  IntRows out(m.rows(), std::vector<BigInt>(m.cols()));
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    for (std::size_t j = 0; j < m.cols(); ++j)
-      out[i][j] = m(i, j).num() * BigInt::divexact(scale, m(i, j).den());
-  return out;
-}
-
 /// Decides positive-definiteness of the exact matrix m / scale (scale > 0).
 /// Plain Sylvester runs on the integers directly: a positive scale leaves
 /// every leading minor's sign unchanged.  The other engines (and "+det")
@@ -272,6 +251,8 @@ LyapunovValidation validate_lyapunov(const numeric::Matrix& a,
   //   A_i = a_den A,   S = P_i + P_i^T = 2 p_den sym(P),
   //   L = -(A_i^T S + S A_i) = -2 a_den p_den (A^T sym(P) + sym(P) A).
   // Both are the exact matrices times a positive integer scale.
+  using exact::detail::common_denominator;
+  using exact::detail::scaled_integers;
   const std::size_t n = a.rows();
   const RatMatrix a_exact = rationalize(a, 0);
   const RatMatrix p_rounded = rationalize(p, digits);
@@ -282,17 +263,10 @@ LyapunovValidation validate_lyapunov(const numeric::Matrix& a,
   IntRows s(n, std::vector<BigInt>(n));
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) s[i][j] = p_int[i][j] + p_int[j][i];
-  // S A_i; S is symmetric, so (A_i^T S)(i, j) = (S A_i)(j, i).
-  IntRows sa(n, std::vector<BigInt>(n));
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t k = 0; k < n; ++k) {
-      if (s[i][k].is_zero()) continue;
-      for (std::size_t j = 0; j < n; ++j)
-        if (!a_int[k][j].is_zero()) sa[i][j] += s[i][k] * a_int[k][j];
-    }
-  IntRows lie(n, std::vector<BigInt>(n));
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < n; ++j) lie[i][j] = -(sa[i][j] + sa[j][i]);
+  // S is symmetric by construction, as symmetric_lie_form requires.
+  IntRows lie = exact::detail::symmetric_lie_form(s, a_int);
+  for (auto& row : lie)
+    for (BigInt& v : row) v = -v;
   const BigInt p_scale = p_den * BigInt{2};
   const BigInt lie_scale = p_scale * a_den;
 

@@ -8,6 +8,7 @@
 #include "exact/lyapunov_exact.hpp"
 #include "exact/matrix.hpp"
 #include "exact/modular.hpp"
+#include "obs/metrics.hpp"
 
 namespace spiv::exact {
 namespace {
@@ -35,7 +36,6 @@ TEST(Montgomery62, RoundTripAndArithmeticMatchReference) {
   const Montgomery62 mont{p};
   std::mt19937_64 rng{42};
   std::uniform_int_distribution<std::uint64_t> dist{0, p - 1};
-  EXPECT_EQ(mont.from_mont(mont.one()), 1u);
   for (int iter = 0; iter < 200; ++iter) {
     const std::uint64_t a = dist(rng);
     const std::uint64_t b = dist(rng);
@@ -239,9 +239,7 @@ TEST(SolveRationalModular, PerEntryReconstructionHandlesMixedDenominators) {
       b(i, 0) = Rational{1};
     }
   }
-  ModularOptions options;
-  options.checkpoint = 1;  // reconstruct as eagerly as possible
-  auto x = solve_rational_modular(a, b, Deadline{}, options);
+  auto x = solve_rational_modular(a, b);
   ASSERT_TRUE(x.has_value());
   for (std::size_t i = 0; i < n; ++i) EXPECT_EQ((*x)(i, 0), expect[i]) << i;
 }
@@ -270,21 +268,6 @@ TEST(SolveRationalModular, SkipsSeededUnluckyPrimeAtSize15) {
   ASSERT_TRUE(bareiss.has_value());
   EXPECT_EQ(*modular, *bareiss);
   EXPECT_GE(stats.unlucky_primes, 1u);
-}
-
-TEST(SolveRationalModular, CheckpointPreservesTheResult) {
-  std::mt19937_64 rng{7117};
-  RatMatrix a = random_stable(rng, 6);
-  RatMatrix b = random_matrix(rng, 6, 1);
-  const auto reference = a.solve(b);
-  ASSERT_TRUE(reference.has_value());
-  for (std::size_t checkpoint : {1, 4, 64}) {
-    ModularOptions options;
-    options.checkpoint = checkpoint;
-    auto x = solve_rational_modular(a, b, Deadline{}, options);
-    ASSERT_TRUE(x.has_value()) << checkpoint;
-    EXPECT_EQ(*x, *reference) << checkpoint;
-  }
 }
 
 TEST(SolveRationalModular, EarlyExitsWhenSolutionIsSmallerThanTheBound) {
@@ -316,33 +299,25 @@ TEST(SolveRationalModular, HonoursExpiredDeadline) {
   EXPECT_THROW((void)solve_rational_modular(a, b, expired), TimeoutError);
 }
 
-// ----------------------------------------------------------- determinant
-
-TEST(DeterminantModular, MatchesBareissIncludingSignAndZero) {
-  std::mt19937_64 rng{7011};
-  for (std::size_t n = 1; n <= 7; ++n) {
-    RatMatrix m = random_matrix(rng, n, n);
-    EXPECT_EQ(determinant_modular(m), m.determinant()) << "n=" << n;
-  }
-  // Singular: determinant is exactly zero (no "unlucky prime" confusion).
-  RatMatrix s{{Rational{1}, Rational{2}}, {Rational{2}, Rational{4}}};
-  EXPECT_TRUE(determinant_modular(s).is_zero());
-  // Known negative determinant.
-  RatMatrix neg{{Rational{0}, Rational{1}}, {Rational{1}, Rational{0}}};
-  EXPECT_EQ(determinant_modular(neg), Rational{-1});
-}
-
 // -------------------------------------------------------------- strategy
 
 TEST(Strategy, LyapunovSolveIsIdenticalAcrossBackends) {
+  // The modular path hands out its solution only after the integer
+  // Lyapunov residual recheck accepts it; a recheck that rejected correct
+  // solutions would still return Bareiss's (equal) answer, so it is caught
+  // by the fallback counter, not by the comparison.
+  const obs::Counter& fallbacks =
+      obs::Registry::global().counter("spiv_modular_fallback_total");
   std::mt19937_64 rng{7013};
   for (std::size_t n = 1; n <= 5; ++n) {
     RatMatrix a = random_stable(rng, n);
     RatMatrix q = RatMatrix::identity(n);
     const auto via_bareiss =
         solve_lyapunov_exact(a, q, Deadline{}, ExactSolverStrategy::Bareiss);
+    const std::uint64_t fallbacks_before = fallbacks.value();
     const auto via_modular =
         solve_lyapunov_exact(a, q, Deadline{}, ExactSolverStrategy::Modular);
+    EXPECT_EQ(fallbacks.value(), fallbacks_before) << "n=" << n;
     ASSERT_TRUE(via_bareiss.has_value());
     ASSERT_TRUE(via_modular.has_value());
     EXPECT_EQ(*via_bareiss, *via_modular) << "n=" << n;

@@ -128,34 +128,6 @@ TEST(RatMatrix, SolveRandomRoundTrip) {
   }
 }
 
-TEST(RatMatrix, Rank) {
-  EXPECT_EQ(RatMatrix::identity(4).rank(), 4u);
-  RatMatrix r1{{q(1), q(2)}, {q(2), q(4)}};
-  EXPECT_EQ(r1.rank(), 1u);
-  EXPECT_EQ(RatMatrix(3, 3).rank(), 0u);
-  RatMatrix rect{{q(1), q(0), q(1)}, {q(0), q(1), q(1)}};
-  EXPECT_EQ(rect.rank(), 2u);
-}
-
-TEST(RatMatrix, LdltReconstruction) {
-  RatMatrix m{{q(4), q(2), q(0)}, {q(2), q(5), q(3)}, {q(0), q(3), q(6)}};
-  auto f = m.ldlt();
-  ASSERT_TRUE(f.has_value());
-  // Reconstruct L D L^T.
-  RatMatrix d{3, 3};
-  for (std::size_t i = 0; i < 3; ++i) d(i, i) = f->d[i];
-  EXPECT_EQ(f->l * d * f->l.transposed(), m);
-  for (const auto& di : f->d) EXPECT_GT(di, q(0));
-  // Indefinite matrix has a negative pivot.
-  RatMatrix indef{{q(1), q(3)}, {q(3), q(1)}};
-  auto fi = indef.ldlt();
-  ASSERT_TRUE(fi.has_value());
-  EXPECT_LT(fi->d[1], q(0));
-  // Zero pivot fails.
-  RatMatrix zp{{q(0), q(1)}, {q(1), q(0)}};
-  EXPECT_FALSE(zp.ldlt().has_value());
-}
-
 TEST(RatMatrix, QuadFormAndApply) {
   RatMatrix p{{q(2), q(1)}, {q(1), q(3)}};
   std::vector<Rational> x{q(1), q(-1)};

@@ -35,7 +35,7 @@ TEST(CharPoly, TwoAlgorithmsAgreeOnRandomMatrices) {
   std::mt19937_64 rng{21};
   std::uniform_int_distribution<std::int64_t> d{-5, 5};
   for (int iter = 0; iter < 10; ++iter) {
-    const std::size_t n = 2 + iter % 5;
+    const std::size_t n = 2 + iter % 7;  // 2..8
     RatMatrix m{n, n};
     for (std::size_t i = 0; i < n; ++i)
       for (std::size_t j = 0; j < n; ++j) m(i, j) = Rational{d(rng), 3};
