@@ -51,7 +51,9 @@ namespace spiv::core::env {
 /// $SPIV_NEG_TTL — TTL in seconds for negative caching of synth-failed and
 /// timeout outcomes in the certificate store (verify pipeline).  Returns
 /// nullopt when unset or malformed (malformed warns once per process);
-/// 0 disables negative caching, which is also the default.
+/// 0 disables negative caching.  Only `spiv-serve --listen` reads it, and
+/// defaults to 30 s without it; the library (ServiceOptions) and the stdin
+/// mode default to 0.
 [[nodiscard]] std::optional<double> negative_ttl();
 
 /// Testing hook: rearm the warn-once flags so diagnostics tests can observe

@@ -29,10 +29,6 @@ std::size_t jobs_cap() { return 8 * hardware_jobs(); }
 
 }  // namespace
 
-std::optional<std::size_t> parse_jobs(const char* text) {
-  return env::parse_positive(text);
-}
-
 std::size_t resolve_jobs(std::size_t requested) {
   const std::size_t cap = jobs_cap();
   if (requested > 0) {

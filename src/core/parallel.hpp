@@ -32,16 +32,11 @@
 
 namespace spiv::core {
 
-/// Strict worker-count parse: the whole string must be a positive decimal
-/// integer in `long` range ("4abc", "-1", "3.5", "" all reject).  Used for
-/// $SPIV_JOBS and the service's --jobs flag.
-[[nodiscard]] std::optional<std::size_t> parse_jobs(const char* text);
-
 /// Worker count to use: `requested` if nonzero, else $SPIV_JOBS, else
-/// hardware_concurrency().  Always >= 1.  $SPIV_JOBS must pass parse_jobs
-/// (trailing junk rejects the value); both it and explicit requests are
-/// capped at 8x hardware_concurrency().  Rejected or clamped values warn
-/// once on stderr.
+/// hardware_concurrency().  Always >= 1.  $SPIV_JOBS must pass
+/// env::parse_positive (trailing junk rejects the value); both it and
+/// explicit requests are capped at 8x hardware_concurrency().  Rejected or
+/// clamped values warn once on stderr.
 [[nodiscard]] std::size_t resolve_jobs(std::size_t requested = 0);
 
 /// Fixed-size work-stealing thread pool.  Jobs must not throw (wrap the

@@ -109,11 +109,7 @@ namespace {
 // 10.7us vs 12.4us for Karatsuba-with-base-48, and only at 512 limbs does
 // recursion still pay (131us with base 128 vs 138us with base 256).  128
 // was the sweep minimum; the curve is flat within noise from 96 up.
-// Overridable (-DSPIV_KARATSUBA_THRESHOLD=N) for re-tuning on new hardware.
-#ifndef SPIV_KARATSUBA_THRESHOLD
-#define SPIV_KARATSUBA_THRESHOLD 128
-#endif
-constexpr std::size_t kKaratsubaThreshold = SPIV_KARATSUBA_THRESHOLD;
+constexpr std::size_t kKaratsubaThreshold = 128;
 
 // The exact-division kernels (divexact, cross_divexact) run on 64-bit words,
 // pairs of 32-bit limbs, with 128-bit products: a quarter of the multiply

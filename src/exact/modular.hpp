@@ -51,7 +51,8 @@ struct ModularStats {
   // Per-phase wall-clock split of this solve (driver-attributed seconds;
   // the elimination phase is the parallel fan-out's wall time, not the
   // summed worker time).  The same split feeds the spiv_modular_elim /
-  // crt / reconstruct / verify histograms and BENCH_exact_solvers.json.
+  // crt / reconstruct / verify histograms and ablation_exact_solvers'
+  // per-phase column.
   double elim_seconds = 0;
   double crt_seconds = 0;
   double reconstruct_seconds = 0;

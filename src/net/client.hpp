@@ -2,7 +2,7 @@
 //
 // The synchronous counterpart of the server's event loop: one connected
 // socket, send whole lines, receive whole lines (buffered, '\r'-tolerant).
-// Used by the spiv-client benchmark driver and the net tests; anything
+// Used by perfbench's closed-loop load client and the net tests; anything
 // fancier (pipelining, concurrency) is built on top by running several
 // clients, exactly like real callers would.
 #pragma once

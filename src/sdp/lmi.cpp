@@ -118,9 +118,6 @@ std::optional<Backend> backend_from_string(const std::string& name) {
 
 namespace {
 
-/// Strict positive-definiteness probe via Cholesky (cheap and robust).
-bool is_pd(const Matrix& m) { return m.cholesky().has_value(); }
-
 /// The shifted block G = F(p) - t I.
 Matrix shifted_block(const MatrixPencil& pencil, const Vector& p, double t) {
   Matrix g = pencil.evaluate(p);
@@ -256,11 +253,8 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
   Vector p(big_k, 0.0);
   double t = problem.min_eigenvalue(p) - 1.0;
 
-  auto all_pd = [&](const Vector& pp, double tt) {
-    for (const auto& pencil : problem.constraints)
-      if (!is_pd(shifted_block(pencil, pp, tt))) return false;
-    return true;
-  };
+  // -sum log det(F_j(p) - t I) from one Cholesky per block; +inf when a
+  // block is not positive definite.
   auto barrier_value = [&](const Vector& pp, double tt) {
     double phi = 0.0;
     for (const auto& pencil : problem.constraints) {
@@ -285,6 +279,7 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
   const double max_step = short_step ? 0.18 : 1.0;
 
   int iters = 0;
+  double barrier = barrier_value(p, t);  // at the current (p, t)
   for (int outer = 0; outer < max_outer; ++outer) {
     for (int inner = 0; inner < options.max_iterations; ++inner) {
       options.deadline.check();
@@ -307,17 +302,21 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
       if (!cholesky_solve(hess, step)) return sol;
 
       // Backtracking line search maintaining strict feasibility of the
-      // shifted blocks and decreasing phi_mu.
-      const double phi0 = barrier_value(p, t) - mu * t;
+      // shifted blocks and decreasing phi_mu.  Only a finite barrier value
+      // (every block positive definite) is a candidate, so the small-step
+      // clause can never accept an infeasible point.
+      const double phi0 = barrier - mu * t;
       double s = max_step;
       Vector p_new = p;
       double t_new = t;
+      double barrier_new = barrier;
       bool accepted = false;
       for (int ls = 0; ls < 40; ++ls) {
         for (std::size_t k = 0; k < big_k; ++k) p_new[k] = p[k] + s * step[k];
         t_new = t + s * step[big_k];
-        if (all_pd(p_new, t_new)) {
-          const double phi1 = barrier_value(p_new, t_new) - mu * t_new;
+        barrier_new = barrier_value(p_new, t_new);
+        if (std::isfinite(barrier_new)) {
+          const double phi1 = barrier_new - mu * t_new;
           if (phi1 < phi0 - 1e-12 * std::abs(phi0) ||
               s < (aggressive ? 1e-2 : 1e-4)) {
             accepted = true;
@@ -330,6 +329,7 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
       const double decrement = s * numeric::dot(step, grad);
       p = p_new;
       t = t_new;
+      barrier = barrier_new;
       if (t >= stop_margin) {
         sol.feasible = true;
         sol.p = p;

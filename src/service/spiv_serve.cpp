@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--jobs")) {
       // Strict parse + the same 8x hardware cap as $SPIV_JOBS (resolve_jobs
       // clamps oversized explicit requests with a stderr warning).
-      options.jobs = core::resolve_jobs(parsed(i, core::parse_jobs));
+      options.jobs = core::resolve_jobs(parsed(i, core::env::parse_positive));
     } else if (!std::strcmp(argv[i], "--timeout")) {
       options.default_timeout_seconds = parsed(i, [](const char* v) {
         const std::optional<double> seconds = core::env::parse_seconds(v);

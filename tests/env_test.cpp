@@ -55,6 +55,9 @@ TEST(ParsePositive, RejectsEverythingElse) {
   EXPECT_FALSE(env::parse_positive(" 4").has_value());
   EXPECT_FALSE(env::parse_positive("4 ").has_value());
   EXPECT_FALSE(env::parse_positive("2.5").has_value());
+  for (const char* bad : {"2 2", "+", "-7", "0x10"})
+    EXPECT_FALSE(env::parse_positive(bad).has_value()) << bad;
+  EXPECT_FALSE(env::parse_positive(nullptr).has_value());
   // Larger than any plausible core count and than LONG_MAX: overflow path.
   EXPECT_FALSE(env::parse_positive("99999999999999999999999").has_value());
 }

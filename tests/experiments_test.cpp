@@ -2,8 +2,13 @@
 #include "core/experiments.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <filesystem>
+#include <string>
 
 #include "core/format.hpp"
+#include "store/cert_store.hpp"
 
 namespace spiv::core {
 namespace {
@@ -44,6 +49,31 @@ TEST(Experiments, Table1OnSize3) {
   EXPECT_NE(table.find("eq-smt"), std::string::npos);
   const std::string csv = table1_csv(result);
   EXPECT_NE(csv.find("modal"), std::string::npos);
+}
+
+// A rerun against the store a first run filled replays every cell: the
+// printed table and the CSV (timing column included, since warm cells
+// replay the recorded synthesis time) are identical, and the warm run is
+// served by store hits.
+TEST(Experiments, Table1WarmReplayFromStore) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("spiv_experiments_test_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  {
+    store::CertStore cache{dir.string()};
+    ExperimentConfig config = small_config();
+    config.store = &cache;
+
+    const Table1Result cold = run_table1(config);
+    const std::uint64_t cold_hits = cache.stats().hits();
+    const Table1Result warm = run_table1(config);
+    EXPECT_GT(cache.stats().hits(), cold_hits);
+    EXPECT_EQ(format_table1(warm), format_table1(cold));
+    EXPECT_EQ(table1_csv(warm), table1_csv(cold));
+  }
+  std::error_code ec;
+  fs::remove_all(dir, ec);
 }
 
 TEST(Experiments, Figure3AndRoundingOnSubset) {

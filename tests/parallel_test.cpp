@@ -85,15 +85,6 @@ TEST(ResolveJobs, RejectsPartialParses) {
   }
 }
 
-TEST(ParseJobs, RequiresFullPositiveInteger) {
-  EXPECT_EQ(parse_jobs("4").value_or(0), 4u);
-  EXPECT_EQ(parse_jobs("1").value_or(0), 1u);
-  for (const char* bad :
-       {"4abc", "2 2", "3.5", "+", "-1", "-7", "0", "", "0x10", "abc"})
-    EXPECT_FALSE(parse_jobs(bad).has_value()) << bad;
-  EXPECT_FALSE(parse_jobs(nullptr).has_value());
-}
-
 TEST(ResolveJobs, CapsExplicitRequests) {
   // A huge explicit request (e.g. `--jobs -1` cast to size_t) must clamp to
   // the 8x-hardware cap instead of spawning that many threads.
