@@ -264,7 +264,9 @@ std::optional<Matrix> Matrix::cholesky() const {
   for (std::size_t j = 0; j < n; ++j) {
     double diag = (*this)(j, j);
     for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    if (diag <= 0.0) return std::nullopt;
+    // Written so a NaN pivot fails too (`diag <= 0.0` is false for NaN).
+    // An infinite pivot only comes from an infinite entry: no factor.
+    if (!(diag > 0.0) || std::isinf(diag)) return std::nullopt;
     l(j, j) = std::sqrt(diag);
     const double inv = 1.0 / l(j, j);
     for (std::size_t i = j + 1; i < n; ++i) {

@@ -7,6 +7,9 @@
 // registry's `spiv_stage_seconds{stage="<name>"}` histogram, so every
 // stage of the pipeline (case-load / close-loop / synthesis / validation /
 // store-lookup / store-insert) has an attributable latency distribution.
+// In spiv-serve, case-load covers the file read and the request-key memo
+// probe (and the parse on a memo miss); close-loop is observed only on the
+// full path, never on a memo hit.
 //
 // With $SPIV_TRACE set to a file path, each span additionally appends one
 // JSON line to that file when it closes:

@@ -1,11 +1,18 @@
 #include "service/service.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <chrono>
-#include <fstream>
 #include <istream>
 #include <mutex>
 #include <ostream>
 #include <sstream>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "model/serialize.hpp"
 #include "model/switched_pi.hpp"
@@ -72,22 +79,194 @@ std::string seconds_field(const char* name, double s) {
   return field;
 }
 
-/// The per-request adapter: load the case, close the loop, hand the matrix
-/// to the verify pipeline (which owns deadlines, cache keys, store access,
-/// and outcome classification), and render one protocol line.
+/// The whole file in `out`, read once with open/fstat/read (no stream, one
+/// buffer sized from fstat).  One byte of slack lets the read that returns
+/// 0 prove EOF; a file that grew since fstat keeps the buffer growing.
+bool read_file(const std::string& path, std::string& out) {
+  struct File {
+    int fd;
+    ~File() {
+      if (fd >= 0) ::close(fd);
+    }
+  } file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  if (file.fd < 0) return false;
+  struct stat st {};
+  const std::size_t size =
+      ::fstat(file.fd, &st) == 0 && st.st_size > 0
+          ? static_cast<std::size_t>(st.st_size)
+          : 0;
+  out.resize(size + 1);
+  std::size_t len = 0;
+  for (;;) {
+    if (len == out.size()) out.resize(2 * out.size());
+    const ssize_t n = ::read(file.fd, out.data() + len, out.size() - len);
+    if (n == 0) break;
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    len += static_cast<std::size_t>(n);
+  }
+  out.resize(len);
+  return true;
+}
+
+/// Content-addressed memo of the request keys run_verify derived, one per
+/// Engine.  Each distinct case file's bytes are stored once, with the model
+/// name and one key per normalized request tuple seen for them.  A probe
+/// hashes the bytes but trusts only full byte equality, so two files never
+/// share an entry.  Only keys run_verify derived enter (parse errors and
+/// out-of-range modes never do), and the whole memo is cleared when it
+/// outgrows kBudgetBytes.  The service's synthesis options are always the
+/// defaults, so the tuple below and the bytes determine the key.
+class KeyMemo {
+ public:
+  /// The request fields that, with the case bytes, determine the key
+  /// (Request::backend is already normalized by parse_verify).
+  struct Tuple {
+    std::size_t mode;
+    lyap::Method method;
+    std::optional<sdp::Backend> backend;
+    smt::Engine engine;
+    int digits;
+
+    bool operator==(const Tuple&) const = default;
+  };
+  struct Known {
+    std::string model;
+    std::string key;
+  };
+
+  [[nodiscard]] std::optional<Known> find(const std::string& bytes,
+                                          const Tuple& tuple) {
+    const std::size_t hash = std::hash<std::string>{}(bytes);
+    std::lock_guard<std::mutex> lock(mutex_);
+    const Entry* entry = locate(hash, bytes);
+    if (!entry) return std::nullopt;
+    for (const auto& [t, key] : entry->keys)
+      if (t == tuple) return Known{entry->model, key};
+    return std::nullopt;
+  }
+
+  void remember(std::string bytes, const std::string& model,
+                const Tuple& tuple, const std::string& key) {
+    const std::size_t hash = std::hash<std::string>{}(bytes);
+    const std::size_t entry_cost = kEntryCost + bytes.size() + model.size();
+    if (entry_cost + kKeyCost > kBudgetBytes) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    Entry* entry = locate(hash, bytes);
+    if (entry)
+      for (const auto& known : entry->keys)
+        if (known.first == tuple) return;
+    std::size_t cost = kKeyCost + (entry ? 0 : entry_cost);
+    if (bytes_ + cost > kBudgetBytes) {
+      entries_.clear();
+      bytes_ = 0;
+      entry = nullptr;
+      cost = kKeyCost + entry_cost;
+    }
+    if (!entry)
+      entry = &entries_.emplace(hash, Entry{std::move(bytes), model, {}})
+                   ->second;
+    entry->keys.emplace_back(tuple, key);
+    bytes_ += cost;
+  }
+
+ private:
+  struct Entry {
+    std::string bytes;
+    std::string model;
+    std::vector<std::pair<Tuple, std::string>> keys;
+  };
+  static constexpr std::size_t kBudgetBytes = std::size_t{8} << 20;
+  /// Rough heap bytes of one key / one entry beyond its case bytes.
+  static constexpr std::size_t kKeyCost = sizeof(Tuple) + 64;
+  static constexpr std::size_t kEntryCost = sizeof(Entry) + 64;
+
+  Entry* locate(std::size_t hash, const std::string& bytes) {
+    const auto [first, last] = entries_.equal_range(hash);
+    for (auto it = first; it != last; ++it)
+      if (it->second.bytes == bytes) return &it->second;
+    return nullptr;
+  }
+
+  std::mutex mutex_;
+  std::unordered_multimap<std::size_t, Entry> entries_;
+  std::size_t bytes_ = 0;
+};
+
+/// Parse the case bytes into `bm`; an error message, or empty on success.
+std::string parse_case(const std::string& text, model::BenchmarkModel& bm) {
+  try {
+    bm = model::case_from_string(text);
+  } catch (const std::exception& e) {
+    return std::string{"case parse failed: "} + e.what();
+  }
+  return "";
+}
+
+/// The protocol line for a pipeline outcome on `model_name`.
+Response render(const Request& req, const verify::VerifyOutcome& outcome,
+                const std::string& model_name) {
+  if (outcome.status == Status::Error)
+    return error_outcome(req, outcome.message);
+  std::string line = result_prefix(req) + " status=" +
+                     verify::to_string(outcome.status) + " cache=" +
+                     verify::to_string(outcome.cache) +
+                     request_fields(req, outcome.key, model_name);
+  // Timing fields exist exactly when a candidate does: synthesis timeouts
+  // and failures have nothing to report.
+  if (outcome.synthesized())
+    line += seconds_field("synth_seconds", outcome.synth_seconds) +
+            seconds_field("validate_seconds", outcome.validate_seconds);
+  return {outcome.status, std::move(line)};
+}
+
+/// The per-request adapter: read the case file, and either replay the key
+/// the memo holds for these bytes and this request straight into the
+/// store, or parse the case, close the loop, and hand the matrix to the
+/// verify pipeline (which owns deadlines, cache keys, store access, and
+/// outcome classification).  Renders one protocol line.
 Response handle_verify(const Request& req, store::CertStore* store,
-                       double negative_ttl_seconds, const CancelToken& token) {
+                       double negative_ttl_seconds, const CancelToken& token,
+                       KeyMemo& memo, obs::Counter& memo_hits) {
+  verify::VerifyContext ctx;
+  ctx.store = store;
+  ctx.token = &token;
+  ctx.negative_ttl_seconds = negative_ttl_seconds;
+  // Service semantics: one budget shared by both stages — synthesis
+  // consumes from the front and validation gets only the remainder, so a
+  // request can never burn more than its declared timeout.
+  const verify::BudgetPolicy budget = verify::SharedBudget{req.timeout_seconds};
+  const KeyMemo::Tuple tuple{req.mode, req.method, req.backend, req.engine,
+                             req.digits};
+
+  // One read: the bytes probed in the memo are the bytes parsed on a miss,
+  // so a concurrent rewrite of the file never pairs old bytes with a new
+  // key.  Without a store every request computes, so the memo sits idle.
+  std::string text;
+  std::optional<KeyMemo::Known> known;
   model::BenchmarkModel bm;
   {
     obs::Span span{"case-load", req.case_file};
-    std::ifstream in{req.case_file};
-    if (!in)
+    if (!read_file(req.case_file, text))
       return error_outcome(req, "cannot open case file " + req.case_file);
-    try {
-      bm = model::read_case(in);
-    } catch (const std::exception& e) {
-      return error_outcome(req, std::string{"case parse failed: "} + e.what());
+    if (store) known = memo.find(text, tuple);
+    if (!known) {
+      const std::string error = parse_case(text, bm);
+      if (!error.empty()) return error_outcome(req, error);
     }
+  }
+  if (known) {
+    memo_hits.add();
+    if (auto out =
+            verify::lookup_cached(ctx, known->key, verify::total_seconds(budget)))
+      return render(req, *out, known->model);
+    // The store no longer holds the key (evicted, or a fresh store): run
+    // the full path on the bytes in hand.  Its own lookup misses once more,
+    // so the store counts two misses for this rare request.
+    const std::string error = parse_case(text, bm);
+    if (!error.empty()) return error_outcome(req, error);
   }
   if (req.mode >= bm.controller.num_modes()) {
     std::ostringstream os;
@@ -107,29 +286,11 @@ Response handle_verify(const Request& req, store::CertStore* store,
   vreq.backend = req.backend;
   vreq.engine = req.engine;
   vreq.digits = req.digits;
-  // Service semantics: one budget shared by both stages — synthesis
-  // consumes from the front and validation gets only the remainder, so a
-  // request can never burn more than its declared timeout.
-  vreq.budget = verify::SharedBudget{req.timeout_seconds};
-
-  verify::VerifyContext ctx;
-  ctx.store = store;
-  ctx.token = &token;
-  ctx.negative_ttl_seconds = negative_ttl_seconds;
+  vreq.budget = budget;
   const verify::VerifyOutcome outcome = verify::run_verify(ctx, vreq);
-
-  if (outcome.status == Status::Error)
-    return error_outcome(req, outcome.message);
-  std::string line = result_prefix(req) + " status=" +
-                     verify::to_string(outcome.status) + " cache=" +
-                     verify::to_string(outcome.cache) +
-                     request_fields(req, outcome.key, bm.name);
-  // Timing fields exist exactly when a candidate does: synthesis timeouts
-  // and failures have nothing to report.
-  if (outcome.synthesized())
-    line += seconds_field("synth_seconds", outcome.synth_seconds) +
-            seconds_field("validate_seconds", outcome.validate_seconds);
-  return {outcome.status, std::move(line)};
+  Response response = render(req, outcome, bm.name);
+  if (store) memo.remember(std::move(text), bm.name, tuple, outcome.key);
+  return response;
 }
 
 /// Parse one `verify` line (after the command token).  Returns an error
@@ -177,9 +338,14 @@ double since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 Handler default_handler() {
-  return [](const Request& req, store::CertStore* store,
-            double negative_ttl_seconds, const CancelToken& token) {
-    return handle_verify(req, store, negative_ttl_seconds, token);
+  auto memo = std::make_shared<KeyMemo>();
+  obs::Counter& memo_hits =
+      obs::Registry::global().counter("spiv_serve_key_memo_hits_total");
+  return [memo, &memo_hits](const Request& req, store::CertStore* store,
+                            double negative_ttl_seconds,
+                            const CancelToken& token) {
+    return handle_verify(req, store, negative_ttl_seconds, token, *memo,
+                         memo_hits);
   };
 }
 

@@ -92,7 +92,16 @@
 //
 // Warm requests are answered straight from the certificate store
 // (cache=hit) without invoking any synthesis kernel; misses are computed
-// and inserted.  With `negative_ttl_seconds` > 0, synth-failed and timeout
+// and inserted.  The default handler reads the case file once and keeps a
+// request-key memo per Engine: the file's full bytes (hashed, then
+// compared byte for byte) plus the normalized (mode, method, backend,
+// engine, digits) map to the key run_verify derived for them, so a repeat
+// request skips the case parse, the close-loop and the key formatting and
+// goes straight to verify::lookup_cached.  Only keys the full path derived
+// enter the memo; it is cleared past a fixed byte budget; a memo hit the
+// store no longer holds runs the full path on the bytes already read.  The
+// response line is byte-identical either way, and each memo hit adds one to
+// `spiv_serve_key_memo_hits_total`.  With `negative_ttl_seconds` > 0, synth-failed and timeout
 // outcomes are remembered in the store's negative tier for the TTL and
 // replayed as cache=neg-hit, so repeated hopeless requests stop re-burning
 // the synthesis budget (timeout entries only shield requests whose budget
@@ -137,14 +146,16 @@ struct Response {
 };
 
 /// Executes one admitted request on a pool worker.  The default handler
-/// loads the case file, closes the loop, and runs verify::run_verify;
+/// loads the case file, closes the loop, and runs verify::run_verify (or
+/// replays a memoized key into the store, see "Budget semantics" above);
 /// tests inject sleeps or canned outcomes here to make scheduling
 /// properties (out-of-order completion, shedding, drain) deterministic.
 using Handler = std::function<Response(
     const Request&, store::CertStore*, double negative_ttl_seconds,
     const CancelToken&)>;
 
-/// The default Handler (the real verification pipeline).
+/// The default Handler (the real verification pipeline).  Each call makes
+/// a new request-key memo that the returned Handler owns: one per Engine.
 [[nodiscard]] Handler default_handler();
 
 struct ServeOptions {

@@ -38,6 +38,41 @@ lyap::SynthesisOptions effective_options(const VerifyRequest& req) {
   return options;
 }
 
+/// The store consultation behind run_verify and lookup_cached: the
+/// positive tier, then (with a TTL) the budget-gated negative tier.
+std::optional<VerifyOutcome> lookup_tiers(const VerifyContext& ctx,
+                                          const std::string& key,
+                                          double total_budget) {
+  if (!ctx.store) return std::nullopt;
+  obs::Span span{"store-lookup", key};
+  VerifyOutcome out;
+  out.key = key;
+  if (auto rec = ctx.store->lookup(key)) {
+    out.cache = Cache::Hit;
+    out.record = std::move(rec);
+    out.status =
+        out.record->validation.valid() ? Status::Valid : Status::Invalid;
+    out.synth_seconds = out.record->candidate.synth_seconds;
+    out.validate_seconds = out.record->validation.seconds();
+    return out;
+  }
+  if (ctx.negative_ttl_seconds > 0.0) {
+    if (auto neg = ctx.store->lookup_negative(key, total_budget)) {
+      out.cache = Cache::NegativeHit;
+      if (neg->reason == "synth-failed") {
+        out.status = Status::SynthFailed;
+      } else {
+        out.status = Status::Timeout;
+        out.timeout_stage = neg->reason == "timeout-validation"
+                                ? Stage::Validation
+                                : Stage::Synthesis;
+      }
+      return out;
+    }
+  }
+  return std::nullopt;
+}
+
 VerifyOutcome run_verify_impl(const VerifyContext& ctx,
                               const VerifyRequest& req) {
   VerifyOutcome out;
@@ -62,39 +97,11 @@ VerifyOutcome run_verify_impl(const VerifyContext& ctx,
   // under its own budget here; validation's clock starts only once
   // synthesis is done (below), preserving Table I's per-stage semantics.
   const bool shared = std::holds_alternative<SharedBudget>(req.budget);
-  // The scalar the negative tier gates timeouts on: the whole wall-clock
-  // budget this request could possibly burn.
-  const double total_budget =
-      shared ? std::get<SharedBudget>(req.budget).seconds
-             : std::get<SplitBudget>(req.budget).synth_seconds +
-                   std::get<SplitBudget>(req.budget).validate_seconds;
+  const double total_budget = total_seconds(req.budget);
 
-  if (ctx.store) {
-    obs::Span span{"store-lookup", out.key};
-    if (auto rec = ctx.store->lookup(out.key)) {
-      out.cache = Cache::Hit;
-      out.record = std::move(rec);
-      out.status =
-          out.record->validation.valid() ? Status::Valid : Status::Invalid;
-      out.synth_seconds = out.record->candidate.synth_seconds;
-      out.validate_seconds = out.record->validation.seconds();
-      return out;
-    }
-    if (ctx.negative_ttl_seconds > 0.0) {
-      if (auto neg = ctx.store->lookup_negative(out.key, total_budget)) {
-        out.cache = Cache::NegativeHit;
-        if (neg->reason == "synth-failed") {
-          out.status = Status::SynthFailed;
-        } else {
-          out.status = Status::Timeout;
-          out.timeout_stage = neg->reason == "timeout-validation"
-                                  ? Stage::Validation
-                                  : Stage::Synthesis;
-        }
-        return out;
-      }
-    }
-  }
+  if (auto cached = lookup_tiers(ctx, out.key, total_budget))
+    return std::move(*cached);
+
   Deadline deadline =
       shared ? mint_deadline(ctx, std::get<SharedBudget>(req.budget).seconds)
              : mint_deadline(ctx,
@@ -207,11 +214,30 @@ VerifyContext VerifyContext::from_env() {
   return ctx;
 }
 
+double total_seconds(const BudgetPolicy& budget) {
+  if (const auto* shared = std::get_if<SharedBudget>(&budget))
+    return shared->seconds;
+  const auto& split = std::get<SplitBudget>(budget);
+  return split.synth_seconds + split.validate_seconds;
+}
+
 VerifyOutcome run_verify(const VerifyContext& ctx, const VerifyRequest& req) {
   obs::Registry& registry = registry_of(ctx);
   registry.counter("spiv_verify_requests_total").add();
   VerifyOutcome out = run_verify_impl(ctx, req);
   count_outcome(registry, out.status);
+  return out;
+}
+
+std::optional<VerifyOutcome> lookup_cached(const VerifyContext& ctx,
+                                           const std::string& key,
+                                           double total_budget) {
+  auto out = lookup_tiers(ctx, key, total_budget);
+  if (out) {
+    obs::Registry& registry = registry_of(ctx);
+    registry.counter("spiv_verify_requests_total").add();
+    count_outcome(registry, out->status);
+  }
   return out;
 }
 

@@ -25,6 +25,11 @@
 // Cache-key derivation happens in exactly one place (run_verify calling
 // store::request_key on a CertRequest built from the same SynthesisOptions
 // handed to the kernel), killing the parameter-drift class of cache bugs.
+// The service's request-key memo does not derive keys: it replays that
+// derivation's output for byte-identical case files and identical request
+// fields, through lookup_cached, the same store consultation run_verify
+// makes.  (A later canonical-bytes check of store entries can keep those
+// bytes in the memo entry beside the key.)
 #pragma once
 
 #include <memory>
@@ -80,6 +85,10 @@ struct SplitBudget {
 };
 
 using BudgetPolicy = std::variant<SharedBudget, SplitBudget>;
+
+/// The whole wall-clock a request under `budget` could burn (the scalar
+/// the store's negative tier gates timeout entries on).
+[[nodiscard]] double total_seconds(const BudgetPolicy& budget);
 
 /// Everything that determines one verification result.  `options` carries
 /// the LMI parameters (alpha/nu/kappa); its backend and deadline fields are
@@ -156,6 +165,16 @@ struct VerifyOutcome {
 /// they are Status values; only programming errors propagate.
 [[nodiscard]] VerifyOutcome run_verify(const VerifyContext& ctx,
                                        const VerifyRequest& req);
+
+/// The store half of run_verify on its own: consult the positive tier,
+/// then (with a TTL) the negative tier, for an already-derived `key`.
+/// Returns the hit or neg-hit outcome run_verify would have returned, or
+/// nullopt on a miss or without a store.  run_verify calls the same code,
+/// so a caller that replays a key run_verify derived earlier for the same
+/// inputs (the service's request-key memo) gets the same answer.  A hit
+/// counts as one request in the spiv_verify_* counters.
+[[nodiscard]] std::optional<VerifyOutcome> lookup_cached(
+    const VerifyContext& ctx, const std::string& key, double total_budget);
 
 /// Validation-only entry for pre-synthesized candidates (the Fig. 3 and
 /// rounding-study drivers re-validate one candidate across engines and

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <random>
 
 namespace spiv::numeric {
@@ -99,6 +100,17 @@ TEST(NumericMatrix, CholeskyPdAndFailure) {
   EXPECT_FALSE(indef.cholesky().has_value());
   Matrix psd{{1, 1}, {1, 1}};  // singular PSD -> fails strict PD test
   EXPECT_FALSE(psd.cholesky().has_value());
+}
+
+TEST(NumericMatrix, CholeskyRejectsNonFinitePivots) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE((Matrix{{nan, 0}, {0, 1}}.cholesky().has_value()));
+  EXPECT_FALSE((Matrix{{1, 0}, {0, nan}}.cholesky().has_value()));
+  EXPECT_FALSE((Matrix{{inf, 0}, {0, 1}}.cholesky().has_value()));
+  EXPECT_FALSE((Matrix{{1, 0}, {0, inf}}.cholesky().has_value()));
+  // A NaN off-diagonal entry poisons the next pivot.
+  EXPECT_FALSE((Matrix{{1, nan}, {nan, 1}}.cholesky().has_value()));
 }
 
 TEST(NumericQr, ReconstructionAndOrthogonality) {

@@ -93,6 +93,15 @@ class ServiceTest : public ::testing::Test {
     return std::stod(line.substr(pos + name.size() + 2));
   }
 
+  /// Text of a `name=value` field of a result line; empty when absent.
+  static std::string field_string(const std::string& line,
+                                  const std::string& name) {
+    const std::size_t pos = line.find(" " + name + "=");
+    if (pos == std::string::npos) return "";
+    const std::size_t begin = pos + name.size() + 2;
+    return line.substr(begin, line.find(' ', begin) - begin);
+  }
+
   /// Value of the exposition sample named exactly `name`; -1 when absent.
   static double sample_value(const std::string& exposition,
                              const std::string& name) {
@@ -104,7 +113,61 @@ class ServiceTest : public ::testing::Test {
     return -1.0;
   }
 
+  /// Options for a store-backed run with the real pipeline.
+  static ServeOptions store_options(store::CertStore* store) {
+    ServeOptions options;
+    options.jobs = 2;
+    options.default_timeout_seconds = 30.0;
+    options.store = store;
+    return options;
+  }
+
+  /// A result line without its `result id=N` prefix: two answers to the
+  /// same request must agree on everything after it.
+  static std::string after_id(const std::string& line) {
+    const std::size_t cut = line.find(' ', std::string{"result id="}.size());
+    return cut == std::string::npos ? "" : line.substr(cut);
+  }
+
+  static std::uint64_t memo_hits() {
+    return obs::Registry::global()
+        .counter("spiv_serve_key_memo_hits_total")
+        .value();
+  }
+
   fs::path dir_;
+};
+
+/// One Engine and Session kept alive across steps, so a test can change
+/// files or stores between requests while the Engine's key memo persists.
+class LiveSession {
+ public:
+  explicit LiveSession(const ServeOptions& options)
+      : engine_{options},
+        session_{engine_, [this](const std::string& line) {
+                   std::lock_guard<std::mutex> lock(mutex_);
+                   transcript_ += line + "\n";
+                 }} {}
+
+  /// Feed one request line and return its result line once answered.
+  std::string run(const std::string& line) {
+    const std::size_t id = next_id_++;
+    (void)session_.handle_line(line);
+    engine_.wait_idle();
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::istringstream is{transcript_};
+    const std::string prefix = "result id=" + std::to_string(id) + " ";
+    for (std::string out; std::getline(is, out);)
+      if (out.rfind(prefix, 0) == 0) return out;
+    return "";
+  }
+
+ private:
+  Engine engine_;
+  std::mutex mutex_;
+  std::string transcript_;
+  Session session_;
+  std::size_t next_id_ = 1;
 };
 
 TEST_F(ServiceTest, RejectsMalformedRequests) {
@@ -450,6 +513,217 @@ TEST_F(ServiceTest, MetricsCommandExposesAndIncreasesAcrossRequests) {
             sample_value(first, "spiv_store_misses_total") + 1.0);
   // The idle pool's queue depth gauge reads zero again after the request.
   EXPECT_EQ(sample_value(second, "spiv_pool_queue_depth"), 0.0);
+}
+
+// ---------------------------------------------------------- request-key memo
+
+TEST_F(ServiceTest, KeyMemoMissesWhenCaseBytesChangeUnderOnePath) {
+  store::CertStore store{cache_path()};
+  LiveSession live{store_options(&store)};
+  const std::string path = (dir_ / "rewritten.spivcase").string();
+  const std::string cmd = "verify " + path + " 0 eq-num - sylvester 10";
+  fs::copy_file(case_path("size3"), path);
+  const std::string first = live.run(cmd);
+  EXPECT_NE(first.find("cache=miss"), std::string::npos) << first;
+  EXPECT_NE(first.find("model=size3"), std::string::npos) << first;
+
+  // Same path, new content: the memo is keyed on bytes, not on the name.
+  fs::copy_file(case_path("size5"), path,
+                fs::copy_options::overwrite_existing);
+  const std::string second = live.run(cmd);
+  EXPECT_NE(second.find("status=valid"), std::string::npos) << second;
+  EXPECT_NE(second.find("cache=miss"), std::string::npos) << second;
+  EXPECT_NE(second.find("model=size5"), std::string::npos) << second;
+  EXPECT_NE(field_string(first, "key"), field_string(second, "key"));
+
+  const std::string again = live.run(cmd);
+  EXPECT_NE(again.find("cache=hit"), std::string::npos) << again;
+  EXPECT_EQ(field_string(again, "key"), field_string(second, "key"));
+}
+
+TEST_F(ServiceTest, KeyMemoHitIsByteIdenticalAcrossPathsAndEngines) {
+  store::CertStore store{cache_path()};
+  const std::string copy = (dir_ / "copy.spivcase").string();
+  fs::copy_file(case_path("size5"), copy);
+  const std::string tail = " 1 modal - sylvester 10";
+  std::string memo_path, memo_copy;
+  {
+    LiveSession live{store_options(&store)};
+    const std::string cold = live.run("verify " + case_path("size5") + tail);
+    ASSERT_NE(cold.find("cache=miss"), std::string::npos) << cold;
+    const std::uint64_t hits0 = memo_hits();
+    memo_path = live.run("verify " + case_path("size5") + tail);
+    memo_copy = live.run("verify " + copy + tail);
+    EXPECT_EQ(memo_hits(), hits0 + 2);
+  }
+  // A fresh Engine has an empty memo: its hit takes the full path.
+  const std::string full = result_line(
+      drive("verify " + case_path("size5") + tail + "\nquit\n", &store), 1);
+  EXPECT_NE(full.find("cache=hit"), std::string::npos) << full;
+  EXPECT_EQ(after_id(memo_path), after_id(full));
+  EXPECT_EQ(after_id(memo_copy), after_id(full));
+}
+
+TEST_F(ServiceTest, KeyMemoHitFallsThroughToMissOnAnEmptiedStore) {
+  store::CertStore warm{cache_path()};
+  store::CertStore empty{(dir_ / "empty").string()};
+  // Route the real handler (and its memo) to whichever store is current,
+  // so the memo outlives the store that backed its entry.
+  store::CertStore* current = &warm;
+  ServeOptions options = store_options(&warm);
+  options.handler = [inner = default_handler(), &current](
+                        const Request& req, store::CertStore*, double ttl,
+                        const CancelToken& token) {
+    return inner(req, current, ttl, token);
+  };
+  LiveSession live{options};
+  const std::string cmd = "verify " + case_path() + " 0 eq-num - sylvester 10";
+  const std::string cold = live.run(cmd);
+  ASSERT_NE(cold.find("cache=miss"), std::string::npos) << cold;
+
+  current = &empty;
+  const std::uint64_t hits0 = memo_hits();
+  const std::string again = live.run(cmd);
+  EXPECT_EQ(memo_hits(), hits0 + 1);  // the memo knew the key ...
+  EXPECT_NE(again.find("status=valid"), std::string::npos) << again;
+  EXPECT_NE(again.find("cache=miss"), std::string::npos) << again;  // ... the store did not
+  EXPECT_EQ(field_string(again, "key"), field_string(cold, "key"));
+  EXPECT_EQ(empty.stats().writes, 1u);
+}
+
+TEST_F(ServiceTest, KeyMemoReplaysARememberedSynthFailureAsNegHit) {
+  // An unstable closed loop: LMIa synthesis is infeasible.
+  model::BenchmarkModel bm;
+  for (const auto& b : model::benchmark_family())
+    if (b.name == "size3") bm = b;
+  for (std::size_t i = 0; i < bm.plant.a.rows(); ++i) bm.plant.a(i, i) += 100.0;
+  bm.name = "unstable3";
+  {
+    std::ofstream out{case_path("unstable3")};
+    model::write_case(out, bm);
+  }
+  store::CertStore store{cache_path()};
+  ServeOptions options = store_options(&store);
+  options.negative_ttl_seconds = 60.0;
+  const std::string cmd =
+      "verify " + case_path("unstable3") + " 0 LMIa newton-ac sylvester 10";
+  std::string memo_line;
+  {
+    LiveSession live{options};
+    const std::string cold = live.run(cmd);
+    ASSERT_NE(cold.find("status=synth-failed cache=miss"), std::string::npos)
+        << cold;
+    const std::uint64_t hits0 = memo_hits();
+    memo_line = live.run(cmd);
+    EXPECT_EQ(memo_hits(), hits0 + 1);
+  }
+  EXPECT_NE(memo_line.find("status=synth-failed cache=neg-hit"),
+            std::string::npos)
+      << memo_line;
+  const std::string full =
+      result_line(drive_with(options, cmd + "\nquit\n"), 1);
+  EXPECT_EQ(after_id(memo_line), after_id(full));
+  EXPECT_EQ(store.stats().negative_hits, 2u);
+}
+
+TEST_F(ServiceTest, KeyMemoNeverRemembersMalformedCasesOrBadModes) {
+  store::CertStore store{cache_path()};
+  const std::string bad = (dir_ / "bad.spivcase").string();
+  {
+    std::ofstream out{bad};
+    out << "spiv-case v1\nname broken size 3 integer 0\nplant 3 x\n";
+  }
+  LiveSession live{store_options(&store)};
+  const std::uint64_t hits0 = memo_hits();
+  for (const std::string& cmd :
+       {"verify " + bad + " 0 eq-num - sylvester 10",
+        "verify " + case_path() + " 7 eq-num - sylvester 10"}) {
+    const std::string first = live.run(cmd);
+    const std::string second = live.run(cmd);
+    EXPECT_NE(first.find("status=error"), std::string::npos) << first;
+    EXPECT_EQ(after_id(first), after_id(second));
+  }
+  EXPECT_EQ(memo_hits(), hits0);
+  EXPECT_EQ(store.stats().writes, 0u);
+}
+
+TEST_F(ServiceTest, KeyMemoKeysOnModeAndDigits) {
+  // Every request field that enters the cache key must enter the memo's
+  // request tuple too: same bytes, another mode or digit count, new key.
+  store::CertStore store{cache_path()};
+  LiveSession live{store_options(&store)};
+  const std::string prefix = "verify " + case_path() + " ";
+  const std::vector<std::string> tails = {"0 eq-num - sylvester 10",
+                                          "0 eq-num - sylvester 12",
+                                          "1 eq-num - sylvester 10"};
+  std::vector<std::string> keys;
+  for (const std::string& tail : tails) {
+    const std::string line = live.run(prefix + tail);
+    EXPECT_NE(line.find("cache=miss"), std::string::npos) << line;
+    keys.push_back(field_string(line, "key"));
+  }
+  EXPECT_NE(keys[0], keys[1]);
+  EXPECT_NE(keys[0], keys[2]);
+  for (std::size_t i = 0; i < tails.size(); ++i) {
+    const std::string line = live.run(prefix + tails[i]);
+    EXPECT_NE(line.find("cache=hit"), std::string::npos) << line;
+    EXPECT_EQ(field_string(line, "key"), keys[i]);
+  }
+}
+
+TEST_F(ServiceTest, KeyMemoServesManySessionsAtOnce) {
+  // Memo hits from many sessions on one Engine at the same time: the
+  // memo's lock is what keeps them apart (run under the tsan preset).
+  store::CertStore store{cache_path()};
+  ServeOptions options = store_options(&store);
+  options.jobs = 4;
+  Engine engine{options};
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  const auto sink = [&](const std::string& line) {
+    std::lock_guard<std::mutex> lock(mutex);
+    lines.push_back(line);
+  };
+  const std::vector<std::string> cmds = {
+      "verify " + case_path("size3") + " 0 eq-num - sylvester 10",
+      "verify " + case_path("size5") + " 1 modal - sylvester 10"};
+  {
+    Session warm{engine, sink};
+    for (const std::string& cmd : cmds) (void)warm.handle_line(cmd);
+    engine.wait_idle();
+  }
+  ASSERT_EQ(lines.size(), 4u);  // two `queued`, two `result`
+  std::vector<std::string> keys;
+  for (const std::string& line : lines)
+    if (line.rfind("result ", 0) == 0) {
+      ASSERT_NE(line.find("cache=miss"), std::string::npos) << line;
+      keys.push_back(field_string(line, "key"));
+    }
+  lines.clear();
+
+  constexpr int kSessions = 8;
+  constexpr int kRequests = 25;
+  const std::uint64_t hits0 = memo_hits();
+  std::vector<std::thread> threads;
+  for (int s = 0; s < kSessions; ++s)
+    threads.emplace_back([&, s] {
+      Session session{engine, sink};
+      for (int r = 0; r < kRequests; ++r)
+        (void)session.handle_line(cmds[(s + r) % cmds.size()]);
+    });
+  for (auto& t : threads) t.join();
+  engine.wait_idle();
+
+  EXPECT_EQ(memo_hits(), hits0 + kSessions * kRequests);
+  std::size_t results = 0;
+  for (const std::string& line : lines) {
+    if (line.rfind("result ", 0) != 0) continue;
+    ++results;
+    EXPECT_NE(line.find("cache=hit"), std::string::npos) << line;
+    const std::string key = field_string(line, "key");
+    EXPECT_TRUE(key == keys[0] || key == keys[1]) << line;
+  }
+  EXPECT_EQ(results, static_cast<std::size_t>(kSessions * kRequests));
 }
 
 }  // namespace
