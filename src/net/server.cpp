@@ -12,6 +12,7 @@
 #include <cstring>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace spiv::net {
@@ -23,20 +24,30 @@ namespace {
 /// missed edge could stall — it should never be load-bearing.
 constexpr int kPollTimeoutMs = 500;
 
+/// True on the thread inside Server::run().  The loop flushes every outbox
+/// at the top of each turn, so its own pushes need no wake-up.
+thread_local bool t_loop_thread = false;
+
 /// Thread-safe response queue for one connection.  Pool workers push
 /// completed lines from any thread; only the event-loop thread takes.
-/// push() wakes the loop through the server's self-pipe so a response is
-/// flushed promptly even if the loop is parked in poll().
+/// A pool worker's push() wakes the loop through the server's self-pipe so
+/// a response is flushed promptly even if the loop is parked in poll().
+/// Every queued byte counts in the `spiv_net_outbox_bytes` gauge until the
+/// loop writes it to the socket or drops it.
 struct Outbox {
-  explicit Outbox(int wake_fd) : wake_fd(wake_fd) {}
+  Outbox(int wake_fd, obs::Gauge& gauge) : wake_fd(wake_fd), gauge(gauge) {}
+  /// Jobs of a connection already torn down may still push here.
+  ~Outbox() { gauge.sub(static_cast<std::int64_t>(pending.size())); }
 
   void push(const std::string& line) {
     {
       std::lock_guard<std::mutex> lock(mutex);
       pending += line;
       pending += '\n';
+      size.store(pending.size(), std::memory_order_relaxed);
     }
-    wake();
+    gauge.add(static_cast<std::int64_t>(line.size() + 1));
+    if (!t_loop_thread) wake();
   }
 
   void wake() const {
@@ -47,17 +58,20 @@ struct Outbox {
 
   [[nodiscard]] std::string take() {
     std::lock_guard<std::mutex> lock(mutex);
+    size.store(0, std::memory_order_relaxed);
     return std::exchange(pending, std::string{});
   }
 
-  [[nodiscard]] bool empty() {
-    std::lock_guard<std::mutex> lock(mutex);
-    return pending.empty();
+  /// Bytes queued and not yet taken.
+  [[nodiscard]] std::size_t bytes() const {
+    return size.load(std::memory_order_relaxed);
   }
 
   std::mutex mutex;
   std::string pending;  ///< concatenated "line\n" bytes, FIFO per connection
+  std::atomic<std::size_t> size{0};  ///< pending.size(), readable lock-free
   const int wake_fd;
+  obs::Gauge& gauge;
 };
 
 /// The one signal-handler hook: SIGTERM/SIGINT handlers may only touch
@@ -79,9 +93,20 @@ struct Server::Conn {
   std::unique_ptr<service::Session> session;
   std::string inbuf;     ///< bytes read, not yet consumed as lines
   std::string writebuf;  ///< bytes taken from the outbox, not yet written
-  bool input_closed = false;  ///< EOF / protocol kill / drain: stop reading
+  bool input_closed = false;  ///< EOF handled / protocol kill / drain
+  bool peer_eof = false;      ///< read() saw EOF; buffered lines still run
   bool waiting = false;       ///< `wait` armed: stop reading until idle
   bool dead = false;          ///< socket error: discard without flushing
+
+  /// Responses not yet written to the socket.
+  [[nodiscard]] std::size_t backlog() const {
+    return writebuf.size() + outbox->bytes();
+  }
+  /// Whether the next buffered input line may run: not closed, not parked
+  /// behind `wait`, and the backlog below the high-water mark.
+  [[nodiscard]] bool accepts_lines() const {
+    return !input_closed && !waiting && backlog() < kOutboxHighWaterBytes;
+  }
 };
 
 Server::Server(ServerOptions options)
@@ -98,7 +123,8 @@ Server::Server(ServerOptions options)
       bytes_written_total_(
           obs::Registry::global().counter("spiv_net_bytes_written_total")),
       open_connections_(
-          obs::Registry::global().gauge("spiv_net_open_connections")) {}
+          obs::Registry::global().gauge("spiv_net_open_connections")),
+      outbox_bytes_(obs::Registry::global().gauge("spiv_net_outbox_bytes")) {}
 
 Server::~Server() {
   Server* expected = this;
@@ -194,7 +220,7 @@ void Server::accept_ready(Fd& listener) {
     }
     auto conn = std::make_unique<Conn>();
     conn->fd = Fd{cfd};
-    conn->outbox = std::make_shared<Outbox>(wake_write_.get());
+    conn->outbox = std::make_shared<Outbox>(wake_write_.get(), outbox_bytes_);
     // The sink wakes on push (response bytes ready); on_settled wakes
     // after the pending() decrement (teardown/`wait` edges) — both are
     // needed, see service.hpp.
@@ -210,7 +236,7 @@ void Server::accept_ready(Fd& listener) {
 
 void Server::process_buffer(Conn& conn) {
   std::size_t start = 0;
-  while (!conn.input_closed && !conn.waiting) {
+  while (conn.accepts_lines()) {
     const std::size_t nl = conn.inbuf.find('\n', start);
     if (nl == std::string::npos) break;
     std::string line = conn.inbuf.substr(start, nl - start);
@@ -240,12 +266,27 @@ void Server::process_buffer(Conn& conn) {
     }
   }
   if (start > 0) conn.inbuf.erase(0, start);
+  if (!conn.accepts_lines()) return;
   // A newline-less prefix longer than the line bound can never become a
   // valid line: reject it now instead of buffering an unbounded flood.
-  if (!conn.input_closed && conn.inbuf.size() > options_.max_line_bytes)
+  if (conn.inbuf.size() > options_.max_line_bytes) {
     kill_protocol(conn, "error line too long (limit " +
                             std::to_string(options_.max_line_bytes) +
                             " bytes)");
+    return;
+  }
+  if (conn.peer_eof) {
+    // Every buffered line has run.  A trailing unterminated line still
+    // counts as input (getline semantics on the stdin transport), then the
+    // session learns the input ended so a half-read batch resolves.
+    if (!conn.inbuf.empty()) {
+      std::string line = std::exchange(conn.inbuf, std::string{});
+      if (!line.empty() && line.back() == '\r') line.pop_back();
+      (void)conn.session->handle_line(line);
+    }
+    conn.input_closed = true;
+    conn.session->finish_input();
+  }
 }
 
 void Server::read_ready(Conn& conn) {
@@ -256,21 +297,12 @@ void Server::read_ready(Conn& conn) {
       bytes_read_total_.add(static_cast<std::uint64_t>(n));
       conn.inbuf.append(buf, static_cast<std::size_t>(n));
       process_buffer(conn);
-      if (conn.input_closed || conn.waiting) return;
+      if (!conn.accepts_lines()) return;
       continue;
     }
     if (n == 0) {
-      // EOF.  A trailing unterminated line still counts as input (getline
-      // semantics on the stdin transport), then the session learns the
-      // input ended so a half-read batch resolves.
+      conn.peer_eof = true;
       process_buffer(conn);
-      if (!conn.input_closed && !conn.waiting && !conn.inbuf.empty()) {
-        std::string line = std::exchange(conn.inbuf, std::string{});
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        (void)conn.session->handle_line(line);
-      }
-      conn.input_closed = true;
-      conn.session->finish_input();
       return;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) return;
@@ -296,19 +328,24 @@ void Server::flush_outbox(Conn& conn) {
     if (errno == EAGAIN || errno == EWOULDBLOCK) break;
     // EPIPE / ECONNRESET: the peer is gone; nothing left to deliver.
     conn.dead = true;
-    conn.writebuf.clear();
-    return;
+    written = conn.writebuf.size();
+    break;
   }
   conn.writebuf.erase(0, written);
+  outbox_bytes_.sub(static_cast<std::int64_t>(written));
 }
 
 bool Server::finished(const Conn& conn) const {
   if (conn.dead) return true;
   return conn.input_closed && !conn.waiting && conn.session->pending() == 0 &&
-         conn.writebuf.empty() && conn.outbox->empty();
+         conn.backlog() == 0;
 }
 
 int Server::run() {
+  struct LoopThread {
+    LoopThread() { t_loop_thread = true; }
+    ~LoopThread() { t_loop_thread = false; }
+  } loop_thread;
   std::vector<pollfd> fds;
   std::vector<Conn*> owners;
   for (;;) {
@@ -329,18 +366,23 @@ int Server::run() {
     }
 
     for (auto& conn : conns_) {
-      if (conn->waiting && conn->session->poll_wait()) {
-        conn->waiting = false;
-        // Lines buffered behind the `wait` (pipelined clients) run now.
-        if (!conn->input_closed) process_buffer(*conn);
+      if (conn->waiting && conn->session->poll_wait()) conn->waiting = false;
+      flush_outbox(*conn);
+      // Lines parked behind a `wait` or the backlog mark (pipelined
+      // clients), or an EOF that arrived behind them, run once it clears.
+      if (conn->accepts_lines() &&
+          (conn->peer_eof || conn->inbuf.find('\n') != std::string::npos)) {
+        process_buffer(*conn);
+        flush_outbox(*conn);
       }
     }
-    for (auto& conn : conns_) flush_outbox(*conn);
     for (std::size_t i = 0; i < conns_.size();) {
       if (finished(*conns_[i])) {
         // Safe even with handler jobs still running (a dead connection):
         // jobs reference only the shared outbox and counters, never the
         // Conn or its Session.
+        outbox_bytes_.sub(
+            static_cast<std::int64_t>(conns_[i]->writebuf.size()));
         open_connections_.sub(1);
         conns_.erase(conns_.begin() +
                      static_cast<std::ptrdiff_t>(i));
@@ -363,7 +405,7 @@ int Server::run() {
     }
     for (auto& conn : conns_) {
       short events = 0;
-      if (!conn->input_closed && !conn->waiting) events |= POLLIN;
+      if (conn->accepts_lines() && !conn->peer_eof) events |= POLLIN;
       if (!conn->writebuf.empty()) events |= POLLOUT;
       fds.push_back(pollfd{conn->fd.get(), events, 0});
       owners.push_back(conn.get());
@@ -395,11 +437,11 @@ int Server::run() {
         conn.dead = true;
         continue;
       }
-      if ((fds[i].revents & POLLIN) && !conn.input_closed && !conn.waiting)
-        read_ready(conn);
+      const bool readable = conn.accepts_lines() && !conn.peer_eof;
+      if ((fds[i].revents & POLLIN) && readable) read_ready(conn);
       if (fds[i].revents & POLLOUT) flush_outbox(conn);
       if (fds[i].revents & POLLHUP) {
-        if (!conn.input_closed && !conn.waiting) {
+        if (readable) {
           // Readable data rides along with the hang-up: read() drains it
           // and then reports the EOF.
           read_ready(conn);

@@ -5,9 +5,11 @@
 // feeds them to each connection's service::Session; completions arrive
 // out of order from pool workers into a per-connection Outbox, wake the
 // loop through a self-pipe, and are flushed in arrival order per
-// connection.  The protocol itself — batching, admission control, per
-// session deadlines — lives entirely in src/service; this layer only moves
-// bytes and owns connection lifecycle:
+// connection.  Lines the loop thread emits itself (acks, warm hits
+// answered in line) skip the self-pipe: the loop flushes every outbox at
+// the top of each turn.  The protocol itself — batching, admission
+// control, per-session deadlines — lives entirely in src/service; this
+// layer only moves bytes and owns connection lifecycle:
 //
 //   * accept until `max_connections`, then answer one `busy connections=N`
 //     line and close (connection-level shedding, counted in
@@ -15,6 +17,12 @@
 //     sheds, which keep the connection).
 //   * `wait` pauses reading ONLY that connection until its requests drain;
 //     other connections keep flowing.
+//   * backpressure: while a connection's unsent responses (its outbox plus
+//     its partly written tail) reach kOutboxHighWaterBytes, its input is
+//     not read and its buffered lines are not run, so a client that
+//     pipelines and never reads holds at most the mark plus one request's
+//     lines; reading resumes once the backlog drains below the mark.  The
+//     `spiv_net_outbox_bytes` gauge sums every connection's backlog.
 //   * graceful drain (SIGTERM / SIGINT / any session's `quit` /
 //     request_drain()): stop accepting, stop reading, finish every
 //     in-flight request, flush every outbox byte, then run() returns.
@@ -37,6 +45,10 @@
 #include "service/service.hpp"
 
 namespace spiv::net {
+
+/// Per-connection backlog (unsent response bytes) at which the server stops
+/// reading that connection's input until the client catches up.
+inline constexpr std::size_t kOutboxHighWaterBytes = std::size_t{256} << 10;
 
 struct ServerOptions {
   /// Unix-domain listener path; empty = no unix listener.
@@ -110,6 +122,7 @@ class Server {
   obs::Counter& bytes_read_total_;
   obs::Counter& bytes_written_total_;
   obs::Gauge& open_connections_;
+  obs::Gauge& outbox_bytes_;  ///< unsent response bytes, all connections
 };
 
 }  // namespace spiv::net

@@ -87,11 +87,21 @@ void write_trace_line(const char* stage, const std::string& detail,
 
 bool trace_enabled() noexcept { return trace_fd() >= 0; }
 
+Histogram& stage_histogram(const char* stage) {
+  return Registry::global().histogram(
+      std::string{"spiv_stage_seconds{stage=\""} + stage + "\"}");
+}
+
 Span::Span(const char* stage, std::string detail)
     : stage_(stage),
       detail_(std::move(detail)),
       start_(std::chrono::steady_clock::now()),
       depth_(t_span_depth++) {}
+
+Span::Span(Histogram& histogram, const char* stage, std::string detail)
+    : Span(stage, std::move(detail)) {
+  histogram_ = &histogram;
+}
 
 double Span::elapsed_seconds() const noexcept {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -101,10 +111,9 @@ double Span::elapsed_seconds() const noexcept {
 
 Span::~Span() {
   --t_span_depth;
+  if (dismissed_) return;
   const double elapsed = elapsed_seconds();
-  Registry::global()
-      .histogram(std::string{"spiv_stage_seconds{stage=\""} + stage_ + "\"}")
-      .observe(elapsed);
+  (histogram_ ? *histogram_ : stage_histogram(stage_)).observe(elapsed);
   if (trace_enabled())
     write_trace_line(stage_, detail_, start_, elapsed, depth_);
 }

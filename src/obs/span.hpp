@@ -9,7 +9,10 @@
 // store-lookup / store-insert) has an attributable latency distribution.
 // In spiv-serve, case-load covers the file read and the request-key memo
 // probe (and the parse on a memo miss); close-loop is observed only on the
-// full path, never on a memo hit.
+// full path, never on a memo hit.  Hot paths resolve their histogram once
+// (stage_histogram) and hand it to the span, so closing one takes no
+// registry lock; a span that would time work redone elsewhere is
+// dismissed and records nothing.
 //
 // With $SPIV_TRACE set to a file path, each span additionally appends one
 // JSON line to that file when it closes:
@@ -28,11 +31,21 @@
 
 namespace spiv::obs {
 
+class Histogram;
+
+/// The global registry's `spiv_stage_seconds{stage="<stage>"}` histogram
+/// (one registry lookup; the reference stays valid for the process).
+[[nodiscard]] Histogram& stage_histogram(const char* stage);
+
 class Span {
  public:
   /// `stage` must outlive the span (string literals in practice); `detail`
   /// is free-form context for the trace line (method/engine/model name).
+  /// The stage histogram is looked up when the span closes.
   explicit Span(const char* stage, std::string detail = {});
+  /// Same, observing into `histogram` (stage_histogram(stage), resolved
+  /// once by the caller).
+  Span(Histogram& histogram, const char* stage, std::string detail = {});
   ~Span();
 
   Span(const Span&) = delete;
@@ -44,11 +57,16 @@ class Span {
   /// Elapsed seconds so far (the value the destructor will record).
   [[nodiscard]] double elapsed_seconds() const noexcept;
 
+  /// Record nothing on close: neither the histogram nor the trace line.
+  void dismiss() noexcept { dismissed_ = true; }
+
  private:
+  Histogram* histogram_ = nullptr;  ///< nullptr = look up by stage on close
   const char* stage_;
   std::string detail_;
   std::chrono::steady_clock::time_point start_;
   int depth_;
+  bool dismissed_ = false;
 };
 
 /// Whether $SPIV_TRACE is active (checked once per process).

@@ -40,20 +40,26 @@ class LineWriter {
 };
 
 std::string result_prefix(const Request& req) {
-  std::ostringstream os;
-  os << "result id=" << req.id;
-  return os.str();
+  return "result id=" + std::to_string(req.id);
 }
 
-std::string request_fields(const Request& req, const std::string& key,
+void append_request_fields(std::string& line, const Request& req,
+                           const std::string& key,
                            const std::string& model_name) {
-  std::ostringstream os;
-  os << " key=" << (key.empty() ? "-" : key) << " model="
-     << (model_name.empty() ? "-" : model_name) << " mode=" << req.mode
-     << " method=" << lyap::to_string(req.method) << " backend="
-     << (req.backend ? sdp::to_string(*req.backend) : "-") << " engine="
-     << smt::to_string(req.engine) << " digits=" << req.digits;
-  return os.str();
+  line += " key=";
+  line += key.empty() ? "-" : key;
+  line += " model=";
+  line += model_name.empty() ? "-" : model_name;
+  line += " mode=";
+  line += std::to_string(req.mode);
+  line += " method=";
+  line += lyap::to_string(req.method);
+  line += " backend=";
+  line += req.backend ? sdp::to_string(*req.backend) : "-";
+  line += " engine=";
+  line += smt::to_string(req.engine);
+  line += " digits=";
+  line += std::to_string(req.digits);
 }
 
 /// Collapse embedded line breaks (and other control bytes) so a message —
@@ -68,33 +74,39 @@ std::string sanitize_message(const std::string& msg) {
 }
 
 Response error_outcome(const Request& req, const std::string& msg) {
-  return {Status::Error, result_prefix(req) + " status=error cache=off" +
-                             request_fields(req, "", "") + " msg=" +
-                             sanitize_message(msg)};
+  std::string line = result_prefix(req) + " status=error cache=off";
+  append_request_fields(line, req, "", "");
+  line += " msg=";
+  line += sanitize_message(msg);
+  return {Status::Error, std::move(line)};
 }
 
-std::string seconds_field(const char* name, double s) {
-  std::string field = std::string{" "} + name + "=";
-  numeric::text::append_double(field, s);
-  return field;
+void append_seconds(std::string& line, const char* name, double s) {
+  line += ' ';
+  line += name;
+  line += '=';
+  numeric::text::append_double(line, s);
 }
 
-/// The whole file in `out`, read once with open/fstat/read (no stream, one
-/// buffer sized from fstat).  One byte of slack lets the read that returns
-/// 0 prove EOF; a file that grew since fstat keeps the buffer growing.
+/// The whole regular file at `path` in `out`, read once with
+/// open/fstat/read (no stream, one buffer sized from fstat).  The open
+/// never blocks and anything but a regular file is refused before any
+/// read, so a FIFO, a device or a directory named as a case file is an
+/// error instead of a stalled worker or event loop.  One byte of slack
+/// lets the read that returns 0 prove EOF; a file that grew since fstat
+/// keeps the buffer growing.
 bool read_file(const std::string& path, std::string& out) {
   struct File {
     int fd;
     ~File() {
       if (fd >= 0) ::close(fd);
     }
-  } file{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  } file{::open(path.c_str(), O_RDONLY | O_NONBLOCK | O_NOCTTY | O_CLOEXEC)};
   if (file.fd < 0) return false;
   struct stat st {};
+  if (::fstat(file.fd, &st) != 0 || !S_ISREG(st.st_mode)) return false;
   const std::size_t size =
-      ::fstat(file.fd, &st) == 0 && st.st_size > 0
-          ? static_cast<std::size_t>(st.st_size)
-          : 0;
+      st.st_size > 0 ? static_cast<std::size_t>(st.st_size) : 0;
   out.resize(size + 1);
   std::size_t len = 0;
   for (;;) {
@@ -111,16 +123,23 @@ bool read_file(const std::string& path, std::string& out) {
   return true;
 }
 
+}  // namespace
+
 /// Content-addressed memo of the request keys run_verify derived, one per
-/// Engine.  Each distinct case file's bytes are stored once, with the model
-/// name and one key per normalized request tuple seen for them.  A probe
-/// hashes the bytes but trusts only full byte equality, so two files never
-/// share an entry.  Only keys run_verify derived enter (parse errors and
-/// out-of-range modes never do), and the whole memo is cleared when it
-/// outgrows kBudgetBytes.  The service's synthesis options are always the
-/// defaults, so the tuple below and the bytes determine the key.
+/// Engine (and one per default_handler()).  Each distinct case file's bytes
+/// are stored once, with the model name and one key per normalized request
+/// tuple seen for them.  A probe hashes the bytes but trusts only full byte
+/// equality, so two files never share an entry.  Only keys run_verify
+/// derived enter (parse errors and out-of-range modes never do), and the
+/// whole memo is cleared when it outgrows kBudgetBytes.  The service's
+/// synthesis options are always the defaults, so the tuple below and the
+/// bytes determine the key.
 class KeyMemo {
  public:
+  /// spiv_serve_key_memo_hits_total: one per find() that knew the key.
+  obs::Counter& hits =
+      obs::Registry::global().counter("spiv_serve_key_memo_hits_total");
+
   /// The request fields that, with the case bytes, determine the key
   /// (Request::backend is already normalized by parse_verify).
   struct Tuple {
@@ -137,6 +156,7 @@ class KeyMemo {
     std::string key;
   };
 
+  /// The key remembered for these bytes and this tuple (a hit counts one).
   [[nodiscard]] std::optional<Known> find(const std::string& bytes,
                                           const Tuple& tuple) {
     const std::size_t hash = std::hash<std::string>{}(bytes);
@@ -144,7 +164,10 @@ class KeyMemo {
     const Entry* entry = locate(hash, bytes);
     if (!entry) return std::nullopt;
     for (const auto& [t, key] : entry->keys)
-      if (t == tuple) return Known{entry->model, key};
+      if (t == tuple) {
+        hits.add();
+        return Known{entry->model, key};
+      }
     return std::nullopt;
   }
 
@@ -195,6 +218,16 @@ class KeyMemo {
   std::size_t bytes_ = 0;
 };
 
+/// What the event loop learned about a request it could not answer, handed
+/// to the pool job so the case file is read once.
+struct CaseProbe {
+  bool read = false;  ///< `text` holds the file's bytes (a regular file)
+  std::string text;
+  std::optional<KeyMemo::Known> known;  ///< the memo knew the key
+};
+
+namespace {
+
 /// Parse the case bytes into `bm`; an error message, or empty on success.
 std::string parse_case(const std::string& text, model::BenchmarkModel& bm) {
   try {
@@ -210,55 +243,101 @@ Response render(const Request& req, const verify::VerifyOutcome& outcome,
                 const std::string& model_name) {
   if (outcome.status == Status::Error)
     return error_outcome(req, outcome.message);
-  std::string line = result_prefix(req) + " status=" +
-                     verify::to_string(outcome.status) + " cache=" +
-                     verify::to_string(outcome.cache) +
-                     request_fields(req, outcome.key, model_name);
+  std::string line = result_prefix(req);
+  line += " status=";
+  line += verify::to_string(outcome.status);
+  line += " cache=";
+  line += verify::to_string(outcome.cache);
+  append_request_fields(line, req, outcome.key, model_name);
   // Timing fields exist exactly when a candidate does: synthesis timeouts
   // and failures have nothing to report.
-  if (outcome.synthesized())
-    line += seconds_field("synth_seconds", outcome.synth_seconds) +
-            seconds_field("validate_seconds", outcome.validate_seconds);
+  if (outcome.synthesized()) {
+    append_seconds(line, "synth_seconds", outcome.synth_seconds);
+    append_seconds(line, "validate_seconds", outcome.validate_seconds);
+  }
   return {outcome.status, std::move(line)};
 }
 
-/// The per-request adapter: read the case file, and either replay the key
-/// the memo holds for these bytes and this request straight into the
-/// store, or parse the case, close the loop, and hand the matrix to the
-/// verify pipeline (which owns deadlines, cache keys, store access, and
-/// outcome classification).  Renders one protocol line.
-Response handle_verify(const Request& req, store::CertStore* store,
-                       double negative_ttl_seconds, const CancelToken& token,
-                       KeyMemo& memo, obs::Counter& memo_hits) {
+obs::Histogram& case_load_seconds() {
+  static obs::Histogram& histogram = obs::stage_histogram("case-load");
+  return histogram;
+}
+
+KeyMemo::Tuple tuple_of(const Request& req) {
+  return {req.mode, req.method, req.backend, req.engine, req.digits};
+}
+
+verify::VerifyContext context_for(store::CertStore* store,
+                                  double negative_ttl_seconds,
+                                  const CancelToken* token) {
   verify::VerifyContext ctx;
   ctx.store = store;
-  ctx.token = &token;
+  ctx.token = token;
   ctx.negative_ttl_seconds = negative_ttl_seconds;
+  return ctx;
+}
+
+/// The event-loop half of a warm request: read the case file (a regular
+/// file only) and probe the memo, then the store's memory tiers.  Returns
+/// the response when both know the request; otherwise nullopt, with what
+/// was learned in `probe`.  Only a memo hit records `case-load` (read and
+/// probe); the store's memory-only miss counts and times nothing, so the
+/// pool job that takes over counts the request exactly once.
+std::optional<Response> answer_warm(const Request& req, store::CertStore& store,
+                                    double negative_ttl_seconds, KeyMemo& memo,
+                                    CaseProbe& probe) {
+  {
+    obs::Span span{case_load_seconds(), "case-load", req.case_file};
+    probe.read = read_file(req.case_file, probe.text);
+    if (probe.read) probe.known = memo.find(probe.text, tuple_of(req));
+    if (!probe.known) {
+      span.dismiss();  // the pool job times its own case load
+      return std::nullopt;
+    }
+  }
+  const auto out = verify::lookup_cached(
+      context_for(&store, negative_ttl_seconds, nullptr), probe.known->key,
+      req.timeout_seconds, verify::Tiers::MemoryOnly);
+  if (!out) return std::nullopt;
+  return render(req, *out, probe.known->model);
+}
+
+/// The per-request adapter on a pool worker: read the case file (unless
+/// `probe` carries the bytes the event loop read), and either replay the
+/// key the memo holds for these bytes and this request into the store, or
+/// parse the case, close the loop, and hand the matrix to the verify
+/// pipeline (which owns deadlines, cache keys, store access, and outcome
+/// classification).  Renders one protocol line.
+Response handle_verify(const Request& req, store::CertStore* store,
+                       double negative_ttl_seconds, const CancelToken& token,
+                       KeyMemo& memo, CaseProbe probe) {
+  const verify::VerifyContext ctx =
+      context_for(store, negative_ttl_seconds, &token);
   // Service semantics: one budget shared by both stages — synthesis
   // consumes from the front and validation gets only the remainder, so a
   // request can never burn more than its declared timeout.
   const verify::BudgetPolicy budget = verify::SharedBudget{req.timeout_seconds};
-  const KeyMemo::Tuple tuple{req.mode, req.method, req.backend, req.engine,
-                             req.digits};
+  const KeyMemo::Tuple tuple = tuple_of(req);
 
   // One read: the bytes probed in the memo are the bytes parsed on a miss,
   // so a concurrent rewrite of the file never pairs old bytes with a new
   // key.  Without a store every request computes, so the memo sits idle.
-  std::string text;
-  std::optional<KeyMemo::Known> known;
+  std::string text = std::move(probe.text);
+  std::optional<KeyMemo::Known> known = std::move(probe.known);
   model::BenchmarkModel bm;
-  {
-    obs::Span span{"case-load", req.case_file};
-    if (!read_file(req.case_file, text))
-      return error_outcome(req, "cannot open case file " + req.case_file);
-    if (store) known = memo.find(text, tuple);
+  if (!known) {
+    obs::Span span{case_load_seconds(), "case-load", req.case_file};
+    if (!probe.read) {
+      if (!read_file(req.case_file, text))
+        return error_outcome(req, "cannot open case file " + req.case_file);
+      if (store) known = memo.find(text, tuple);
+    }
     if (!known) {
       const std::string error = parse_case(text, bm);
       if (!error.empty()) return error_outcome(req, error);
     }
   }
   if (known) {
-    memo_hits.add();
     if (auto out =
             verify::lookup_cached(ctx, known->key, verify::total_seconds(budget)))
       return render(req, *out, known->model);
@@ -268,12 +347,11 @@ Response handle_verify(const Request& req, store::CertStore* store,
     const std::string error = parse_case(text, bm);
     if (!error.empty()) return error_outcome(req, error);
   }
-  if (req.mode >= bm.controller.num_modes()) {
-    std::ostringstream os;
-    os << "mode " << req.mode << " out of range (case has "
-       << bm.controller.num_modes() << " modes)";
-    return error_outcome(req, os.str());
-  }
+  if (req.mode >= bm.controller.num_modes())
+    return error_outcome(req, "mode " + std::to_string(req.mode) +
+                                  " out of range (case has " +
+                                  std::to_string(bm.controller.num_modes()) +
+                                  " modes)");
 
   verify::VerifyRequest vreq;
   {
@@ -339,13 +417,9 @@ double since(std::chrono::steady_clock::time_point t0) {
 
 Handler default_handler() {
   auto memo = std::make_shared<KeyMemo>();
-  obs::Counter& memo_hits =
-      obs::Registry::global().counter("spiv_serve_key_memo_hits_total");
-  return [memo, &memo_hits](const Request& req, store::CertStore* store,
-                            double negative_ttl_seconds,
-                            const CancelToken& token) {
-    return handle_verify(req, store, negative_ttl_seconds, token, *memo,
-                         memo_hits);
+  return [memo](const Request& req, store::CertStore* store,
+                double negative_ttl_seconds, const CancelToken& token) {
+    return handle_verify(req, store, negative_ttl_seconds, token, *memo, {});
   };
 }
 
@@ -353,6 +427,7 @@ Handler default_handler() {
 
 Engine::Engine(const ServeOptions& options)
     : options_(options),
+      memo_(std::make_unique<KeyMemo>()),
       pool_(core::resolve_jobs(options.jobs)),
       requests_total_(
           obs::Registry::global().counter("spiv_serve_requests_total")),
@@ -365,14 +440,14 @@ Engine::Engine(const ServeOptions& options)
           obs::Registry::global().gauge("spiv_pool_queue_depth")),
       request_seconds_(
           obs::Registry::global().histogram("spiv_serve_request_seconds")) {
-  if (!options_.handler) options_.handler = default_handler();
   // Pre-register the stage histograms the `metrics` command promises, so a
   // scrape before the first request still sees the full family set.
   for (const char* stage : {"case-load", "close-loop", "synthesis",
                             "validation", "store-lookup", "store-insert"})
-    (void)obs::Registry::global().histogram(
-        std::string{"spiv_stage_seconds{stage=\""} + stage + "\"}");
+    (void)obs::stage_histogram(stage);
 }
+
+Engine::~Engine() = default;
 
 bool Engine::try_admit() {
   // Checked from the transport thread without a lock: a burst across many
@@ -463,23 +538,44 @@ void Session::handle_verify_args(std::istringstream& is,
   }
   engine_.requests_total_.add();
   if (!batch) emit("queued id=" + std::to_string(req.id));
+  const auto t0 = std::chrono::steady_clock::now();
+  store::CertStore* store = engine_.options_.store;
+  const double ttl = engine_.options_.negative_ttl_seconds;
+  // A warm hit is answered right here, on the transport thread: no pool
+  // job, no thread hop.  An injected handler always runs on the pool.
+  CaseProbe probe;
+  if (!engine_.options_.handler && store) {
+    std::optional<Response> response;
+    try {
+      response = answer_warm(req, *store, ttl, *engine_.memo_, probe);
+    } catch (const std::exception&) {
+      probe = {};  // e.g. a file too big to buffer: the job reports it
+    }
+    if (response) {
+      engine_.request_seconds_.observe(since(t0));
+      emit(response->line);
+      resolve_batch_member(batch, response->status, /*shed=*/false);
+      engine_.release();
+      return;
+    }
+  }
   pending_->fetch_add(1, std::memory_order_release);
   // The job captures everything it touches by value (shared_ptrs for the
   // batch and pending counter): the Session may be destroyed while jobs
   // are in flight, the Engine may not (transports wait_idle before that).
   Engine* engine = &engine_;
-  store::CertStore* store = engine_.options_.store;
-  const double ttl = engine_.options_.negative_ttl_seconds;
   LineSink sink = sink_;
   auto pending = pending_;
   auto settled = on_settled_;
-  const auto t0 = std::chrono::steady_clock::now();
   engine_.pool_.submit([req, engine, store, ttl, sink, pending, batch, settled,
-                        t0] {
+                        t0, probe = std::move(probe)]() mutable {
     Response response;
     try {
-      response = engine->options_.handler(req, store, ttl,
-                                          engine->pool_.token());
+      const CancelToken& token = engine->pool_.token();
+      response = engine->options_.handler
+                     ? engine->options_.handler(req, store, ttl, token)
+                     : handle_verify(req, store, ttl, token, *engine->memo_,
+                                     std::move(probe));
     } catch (const std::exception& e) {
       response = error_outcome(req, std::string{"handler failed: "} + e.what());
     }

@@ -15,7 +15,8 @@
 //       Queue one verification.  Acknowledged immediately with
 //       `queued id=N` (ids count from 1 per session), answered
 //       asynchronously — possibly out of order with other requests — with
-//       exactly one `result` or `busy` line (see below).
+//       exactly one `result` or `busy` line (see below).  A warm hit's
+//       `result` follows its `queued` line directly (see "Warm requests").
 //
 //   batch-verify <count>
 //       Pipelined form: exactly <count> follow-up lines, each the argument
@@ -90,22 +91,40 @@
 // never burn more than its declared timeout (min'ed with the session's
 // `deadline` cap when one is set).
 //
+// ## Warm requests
+//
 // Warm requests are answered straight from the certificate store
 // (cache=hit) without invoking any synthesis kernel; misses are computed
-// and inserted.  The default handler reads the case file once and keeps a
-// request-key memo per Engine: the file's full bytes (hashed, then
-// compared byte for byte) plus the normalized (mode, method, backend,
-// engine, digits) map to the key run_verify derived for them, so a repeat
-// request skips the case parse, the close-loop and the key formatting and
-// goes straight to verify::lookup_cached.  Only keys the full path derived
-// enter the memo; it is cleared past a fixed byte budget; a memo hit the
-// store no longer holds runs the full path on the bytes already read.  The
-// response line is byte-identical either way, and each memo hit adds one to
-// `spiv_serve_key_memo_hits_total`.  With `negative_ttl_seconds` > 0, synth-failed and timeout
-// outcomes are remembered in the store's negative tier for the TTL and
-// replayed as cache=neg-hit, so repeated hopeless requests stop re-burning
-// the synthesis budget (timeout entries only shield requests whose budget
-// is <= the budget that timed out).
+// and inserted.  Each Engine keeps a request-key memo: a case file's full
+// bytes (hashed, then compared byte for byte) plus the normalized (mode,
+// method, backend, engine, digits) map to the key run_verify derived for
+// them, so a repeat request skips the case parse, the close-loop and the
+// key formatting and goes straight to verify::lookup_cached.  Only keys the
+// full path derived enter the memo; it is cleared past a fixed byte budget;
+// a memo hit the store no longer holds runs the full path on the bytes
+// already read.  Each memo hit adds one to `spiv_serve_key_memo_hits_total`.
+//
+// A warm hit is answered in line, on the transport thread that parsed it:
+// when the memo knows the key and the store's MEMORY tier holds its record
+// (positive, or negative below), the session emits `queued id=N` and then
+// the `result` line at once, in request order, and no pool job runs —
+// `spiv_pool_jobs_executed_total` and `spiv_pool_queue_depth` do not count
+// it.  Everything else goes to the pool: memo misses, records held only on
+// disk (the transport thread never does disk-tier I/O), case paths that are
+// not regular files, and every request of an Engine with an injected
+// Handler.  The case file is read once either way (the pool job takes the
+// bytes the transport read), and the response line and every store and
+// verify counter read the same as when the pool serves the hit.
+//
+// With `negative_ttl_seconds` > 0, synth-failed and timeout outcomes are
+// remembered in the store's negative tier for the TTL and replayed as
+// cache=neg-hit, so repeated hopeless requests stop re-burning the
+// synthesis budget (timeout entries only shield requests whose budget is
+// <= the budget that timed out).
+//
+// A case path that is not a regular file (a FIFO, a device, a directory)
+// answers `cannot open case file ...` without blocking: it is opened
+// non-blocking and refused before any read.
 #pragma once
 
 #include <atomic>
@@ -145,17 +164,19 @@ struct Response {
   std::string line;
 };
 
-/// Executes one admitted request on a pool worker.  The default handler
-/// loads the case file, closes the loop, and runs verify::run_verify (or
-/// replays a memoized key into the store, see "Budget semantics" above);
-/// tests inject sleeps or canned outcomes here to make scheduling
-/// properties (out-of-order completion, shedding, drain) deterministic.
+/// Executes one admitted request on a pool worker, in place of the Engine's
+/// built-in pipeline (see "Warm requests" above).  Tests inject sleeps or
+/// canned outcomes here to make scheduling properties (out-of-order
+/// completion, shedding, drain) deterministic.  Every request of an Engine
+/// with an injected handler runs on the pool, warm hits included.
 using Handler = std::function<Response(
     const Request&, store::CertStore*, double negative_ttl_seconds,
     const CancelToken&)>;
 
-/// The default Handler (the real verification pipeline).  Each call makes
-/// a new request-key memo that the returned Handler owns: one per Engine.
+/// The built-in pipeline as a Handler: loads the case file, closes the
+/// loop, and runs verify::run_verify (or replays a memoized key into the
+/// store).  Each call makes a new request-key memo that the returned
+/// Handler owns.  Its responses are byte-identical to the Engine's own.
 [[nodiscard]] Handler default_handler();
 
 struct ServeOptions {
@@ -175,16 +196,21 @@ struct ServeOptions {
   std::int64_t max_queue_depth = 0;
   /// TTL for negative certificate-store entries (0 = negative caching off).
   double negative_ttl_seconds = 0.0;
-  /// Request executor; empty = default_handler().
+  /// Request executor; empty = the built-in pipeline (which answers warm
+  /// hits on the transport thread).
   Handler handler;
 };
 
+class KeyMemo;
+
 /// Shared service state behind every session: the job pool, the store, the
-/// admission counters, and the obs instruments.  One Engine serves any
-/// number of concurrent Sessions; all of its methods are thread-safe.
+/// request-key memo, the admission counters, and the obs instruments.  One
+/// Engine serves any number of concurrent Sessions; all of its methods are
+/// thread-safe.
 class Engine {
  public:
   explicit Engine(const ServeOptions& options);
+  ~Engine();
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -217,6 +243,9 @@ class Engine {
   }
 
   ServeOptions options_;
+  /// The built-in pipeline's request-key memo (declared before pool_, so
+  /// it outlives every job).
+  std::unique_ptr<KeyMemo> memo_;
   core::JobPool pool_;
   std::atomic<int> errors_{0};
   std::atomic<std::int64_t> inflight_{0};

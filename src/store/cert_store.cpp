@@ -80,6 +80,9 @@ void CertStore::remember(const std::string& key,
                          std::shared_ptr<const CertRecord> rec) {
   Shard& shard = shard_for(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
+  // A certificate answers every budget: a remembered failure of its key
+  // would only shadow it once the LRU evicts it (see lookup_negative).
+  shard.negatives.erase(key);
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     shard.lru.erase(it->second);
@@ -153,21 +156,23 @@ std::optional<NegativeEntry> CertStore::lookup_negative(
   return it->second;
 }
 
+std::shared_ptr<const CertRecord> CertStore::lookup_memory(
+    const std::string& key) {
+  const auto t0 = std::chrono::steady_clock::now();
+  Shard& shard = shard_for(key);
+  std::lock_guard<std::mutex> lock(shard.mutex);
+  auto it = shard.index.find(key);
+  if (it == shard.index.end()) return nullptr;
+  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+  memory_hits_.fetch_add(1, std::memory_order_relaxed);
+  m_memory_hits_.add();
+  lookup_memory_seconds_.observe(since(t0));
+  return it->second->second;
+}
+
 std::shared_ptr<const CertRecord> CertStore::lookup(const std::string& key) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Memory tier.
-  {
-    Shard& shard = shard_for(key);
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      memory_hits_.fetch_add(1, std::memory_order_relaxed);
-      m_memory_hits_.add();
-      lookup_memory_seconds_.observe(since(t0));
-      return it->second->second;
-    }
-  }
+  if (auto rec = lookup_memory(key)) return rec;
   // Disk tier (no shard lock held across I/O).
   std::ifstream in{path_for(key), std::ios::binary};
   if (!in) {

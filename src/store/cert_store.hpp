@@ -73,6 +73,12 @@ class CertStore {
   [[nodiscard]] std::shared_ptr<const CertRecord> lookup(
       const std::string& key);
 
+  /// The memory tier of lookup() alone: never touches the disk.  A hit
+  /// counts exactly as lookup()'s memory hit; a miss counts nothing, so a
+  /// caller may follow it with lookup() and the request is counted once.
+  [[nodiscard]] std::shared_ptr<const CertRecord> lookup_memory(
+      const std::string& key);
+
   /// Persist a certificate (atomic write) and warm the memory tier.
   /// Concurrent inserts under one key are safe: renames are atomic and all
   /// writers of a key serialize identical bytes.
@@ -96,6 +102,11 @@ class CertStore {
 
   /// Fresh negative entry applicable to a request with `budget_seconds`
   /// of budget, or nullopt.  Expired entries are evicted on the way.
+  /// A certificate entering the memory tier (insert, or a disk hit) drops
+  /// its key's entry, so a negative entry never shadows a certificate this
+  /// store wrote or read: a memory-only probe (lookup_memory, then this)
+  /// then answers what lookup() followed by this would.  (A certificate
+  /// another process wrote into the directory is seen only by lookup().)
   [[nodiscard]] std::optional<NegativeEntry> lookup_negative(
       const std::string& key, double budget_seconds);
 

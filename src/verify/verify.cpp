@@ -1,5 +1,7 @@
 #include "verify/verify.hpp"
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <iostream>
 #include <map>
@@ -18,15 +20,29 @@ Deadline mint_deadline(const VerifyContext& ctx, double seconds) {
                    : Deadline::after_seconds(seconds);
 }
 
-obs::Registry& registry_of(const VerifyContext& ctx) {
-  return ctx.registry ? *ctx.registry : obs::Registry::global();
+/// spiv_verify_requests_total, resolved once.
+obs::Counter& requests_counter() {
+  static obs::Counter& counter =
+      obs::Registry::global().counter("spiv_verify_requests_total");
+  return counter;
 }
 
-void count_outcome(obs::Registry& registry, Status status) {
-  registry
-      .counter(std::string{"spiv_verify_outcomes_total{status=\""} +
-               to_string(status) + "\"}")
-      .add();
+/// spiv_verify_outcomes_total{status="..."}, resolved on a status's first
+/// outcome (so a series appears once a request ends that way) and cached,
+/// so counting takes no registry lock.
+obs::Counter& outcome_counter(Status status) {
+  static std::array<std::atomic<obs::Counter*>,
+                    static_cast<std::size_t>(Status::Error) + 1>
+      cache{};
+  std::atomic<obs::Counter*>& slot = cache[static_cast<std::size_t>(status)];
+  obs::Counter* counter = slot.load(std::memory_order_acquire);
+  if (!counter) {
+    counter = &obs::Registry::global().counter(
+        std::string{"spiv_verify_outcomes_total{status=\""} +
+        to_string(status) + "\"}");
+    slot.store(counter, std::memory_order_release);
+  }
+  return *counter;
 }
 
 /// The synthesis options actually handed to the kernel: request backend
@@ -42,12 +58,14 @@ lyap::SynthesisOptions effective_options(const VerifyRequest& req) {
 /// positive tier, then (with a TTL) the budget-gated negative tier.
 std::optional<VerifyOutcome> lookup_tiers(const VerifyContext& ctx,
                                           const std::string& key,
-                                          double total_budget) {
+                                          double total_budget, Tiers tiers) {
   if (!ctx.store) return std::nullopt;
-  obs::Span span{"store-lookup", key};
+  static obs::Histogram& seconds = obs::stage_histogram("store-lookup");
+  obs::Span span{seconds, "store-lookup", key};
   VerifyOutcome out;
   out.key = key;
-  if (auto rec = ctx.store->lookup(key)) {
+  if (auto rec = tiers == Tiers::All ? ctx.store->lookup(key)
+                                     : ctx.store->lookup_memory(key)) {
     out.cache = Cache::Hit;
     out.record = std::move(rec);
     out.status =
@@ -70,6 +88,8 @@ std::optional<VerifyOutcome> lookup_tiers(const VerifyContext& ctx,
       return out;
     }
   }
+  // A memory-only miss is retried with every tier, which times it again.
+  if (tiers == Tiers::MemoryOnly) span.dismiss();
   return std::nullopt;
 }
 
@@ -99,7 +119,7 @@ VerifyOutcome run_verify_impl(const VerifyContext& ctx,
   const bool shared = std::holds_alternative<SharedBudget>(req.budget);
   const double total_budget = total_seconds(req.budget);
 
-  if (auto cached = lookup_tiers(ctx, out.key, total_budget))
+  if (auto cached = lookup_tiers(ctx, out.key, total_budget, Tiers::All))
     return std::move(*cached);
 
   Deadline deadline =
@@ -222,21 +242,19 @@ double total_seconds(const BudgetPolicy& budget) {
 }
 
 VerifyOutcome run_verify(const VerifyContext& ctx, const VerifyRequest& req) {
-  obs::Registry& registry = registry_of(ctx);
-  registry.counter("spiv_verify_requests_total").add();
+  requests_counter().add();
   VerifyOutcome out = run_verify_impl(ctx, req);
-  count_outcome(registry, out.status);
+  outcome_counter(out.status).add();
   return out;
 }
 
 std::optional<VerifyOutcome> lookup_cached(const VerifyContext& ctx,
                                            const std::string& key,
-                                           double total_budget) {
-  auto out = lookup_tiers(ctx, key, total_budget);
+                                           double total_budget, Tiers tiers) {
+  auto out = lookup_tiers(ctx, key, total_budget, tiers);
   if (out) {
-    obs::Registry& registry = registry_of(ctx);
-    registry.counter("spiv_verify_requests_total").add();
-    count_outcome(registry, out->status);
+    requests_counter().add();
+    outcome_counter(out->status).add();
   }
   return out;
 }

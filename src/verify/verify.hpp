@@ -40,7 +40,6 @@
 #include "exact/timeout.hpp"
 #include "lyapunov/synthesis.hpp"
 #include "numeric/matrix.hpp"
-#include "obs/metrics.hpp"
 #include "sdp/lmi.hpp"
 #include "smt/validate.hpp"
 #include "store/cert_store.hpp"
@@ -105,7 +104,7 @@ struct VerifyRequest {
 };
 
 /// Ambient machinery threaded through the pipeline: where certificates
-/// live, how to cancel, where metrics go.
+/// live and how to cancel.  Metrics go to obs::Registry::global().
 /// from_env() resolves every field from the core::env variables; callers
 /// (CLI flags, the service, tests) override fields explicitly after that.
 struct VerifyContext {
@@ -116,7 +115,6 @@ struct VerifyContext {
   /// Timeout entries only shield requests whose budget is <= the budget
   /// that timed out, so raising a request's budget still recomputes.
   double negative_ttl_seconds = 0.0;
-  obs::Registry* registry = &obs::Registry::global();
 
   /// $SPIV_CACHE_DIR store, $SPIV_JOBS hint, $SPIV_NEG_TTL negative-cache
   /// TTL.
@@ -166,15 +164,25 @@ struct VerifyOutcome {
 [[nodiscard]] VerifyOutcome run_verify(const VerifyContext& ctx,
                                        const VerifyRequest& req);
 
+/// Which certificate-store tiers lookup_cached reads.
+enum class Tiers {
+  All,         ///< memory, then disk, then (with a TTL) the negative tier
+  MemoryOnly,  ///< memory and negative tiers only: no disk I/O, and a miss
+               ///< counts and times nothing (store::CertStore::lookup_memory)
+};
+
 /// The store half of run_verify on its own: consult the positive tier,
 /// then (with a TTL) the negative tier, for an already-derived `key`.
 /// Returns the hit or neg-hit outcome run_verify would have returned, or
-/// nullopt on a miss or without a store.  run_verify calls the same code,
-/// so a caller that replays a key run_verify derived earlier for the same
-/// inputs (the service's request-key memo) gets the same answer.  A hit
-/// counts as one request in the spiv_verify_* counters.
+/// nullopt on a miss or without a store.  run_verify calls the same code
+/// with Tiers::All, so a caller that replays a key run_verify derived
+/// earlier for the same inputs (the service's request-key memo) gets the
+/// same answer.  A hit counts as one request in the spiv_verify_*
+/// counters.  A Tiers::MemoryOnly miss may be retried with Tiers::All;
+/// the request is then counted once.
 [[nodiscard]] std::optional<VerifyOutcome> lookup_cached(
-    const VerifyContext& ctx, const std::string& key, double total_budget);
+    const VerifyContext& ctx, const std::string& key, double total_budget,
+    Tiers tiers = Tiers::All);
 
 /// Validation-only entry for pre-synthesized candidates (the Fig. 3 and
 /// rounding-study drivers re-validate one candidate across engines and

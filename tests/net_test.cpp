@@ -7,15 +7,24 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <signal.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "model/serialize.hpp"
+#include "model/switched_pi.hpp"
 #include "net/client.hpp"
 #include "net/socket.hpp"
 
@@ -55,18 +64,65 @@ class NetTest : public ::testing::Test {
     }
     server_.reset();
     ::unlink(path_.c_str());
+    if (!dir_.empty()) {
+      std::error_code ec;
+      std::filesystem::remove_all(dir_, ec);
+    }
   }
 
   void start(ServerOptions options) {
+    if (!options.service.handler) options.service.handler = canned_handler();
+    launch(std::move(options));
+  }
+
+  /// The real pipeline (no injected handler) over `store`.
+  void start_real(store::CertStore* store) {
+    ServerOptions options;
+    options.service.store = store;
+    options.service.jobs = 2;
+    launch(std::move(options));
+  }
+
+  void launch(ServerOptions options) {
     static std::atomic<int> counter{0};
     path_ = "/tmp/spiv_net_test_" + std::to_string(::getpid()) + "_" +
             std::to_string(counter.fetch_add(1)) + ".sock";
     options.unix_path = path_;
-    if (!options.service.handler) options.service.handler = canned_handler();
     if (options.service.jobs == 0) options.service.jobs = 4;
     server_ = std::make_unique<Server>(std::move(options));
     server_->start();
     thread_ = std::thread([this] { run_result_ = server_->run(); });
+  }
+
+  /// A per-test scratch directory holding the size-3 benchmark case.
+  const std::string& dir() {
+    if (dir_.empty()) {
+      dir_ = std::filesystem::temp_directory_path().string() +
+             "/spiv_net_test_" + std::to_string(::getpid());
+      std::filesystem::remove_all(dir_);
+      std::filesystem::create_directories(dir_);
+      for (const auto& bm : model::benchmark_family())
+        if (bm.name == "size3") {
+          std::ofstream out{dir_ + "/size3.spivcase"};
+          model::write_case(out, bm);
+        }
+    }
+    return dir_;
+  }
+
+  /// A warm-able verify request on the size-3 case.
+  std::string size3_tail() {
+    return dir() + "/size3.spivcase 0 eq-num - sylvester 10";
+  }
+
+  static std::uint64_t jobs_executed() {
+    return obs::Registry::global()
+        .counter("spiv_pool_jobs_executed_total")
+        .value();
+  }
+
+  static std::int64_t outbox_bytes() {
+    return obs::Registry::global().gauge("spiv_net_outbox_bytes").value();
   }
 
   [[nodiscard]] Client connect() {
@@ -103,6 +159,7 @@ class NetTest : public ::testing::Test {
   }
 
   std::string path_;
+  std::string dir_;
   std::unique_ptr<Server> server_;
   std::thread thread_;
   int run_result_ = -1;
@@ -378,6 +435,162 @@ TEST_F(NetTest, TcpRoundTripOnEphemeralPort) {
   EXPECT_EQ(count_prefix(lines, "result"), 1u);
   server.request_drain();
   thread.join();
+}
+
+// ------------------------------------------------ the real pipeline
+
+TEST_F(NetTest, FifoCaseFileErrorsAtOnceAndTheServerStillDrains) {
+  // A FIFO named as a case file used to block its reader in open(2)
+  // forever: no answer, and a drain that never finished.
+  store::CertStore store{dir() + "/cache"};
+  start_real(&store);
+  const std::string fifo = dir() + "/case.fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  Client client = connect();
+  ASSERT_TRUE(client.send_line("verify " + fifo + " 0 eq-num - sylvester 10"));
+  auto reply =
+      std::async(std::launch::async, [&] { return read_responses(client, 1); });
+  const bool answered = reply.wait_for(1s) == std::future_status::ready;
+  if (!answered) {
+    // Release a reader stuck in open(2), so the test fails instead of
+    // hanging: a writer that comes and goes makes the read see EOF.
+    const int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+    if (fd >= 0) ::close(fd);
+  }
+  const auto lines = reply.get();
+  EXPECT_TRUE(answered);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[1].find("status=error"), std::string::npos) << lines[1];
+  EXPECT_NE(lines[1].find("msg=cannot open case file " + fifo),
+            std::string::npos)
+      << lines[1];
+  // `quit` drains the whole server: the connection closes, run() returns.
+  ASSERT_TRUE(client.send_line("quit"));
+  auto closed =
+      std::async(std::launch::async, [&] { return client.recv_line(); });
+  ASSERT_EQ(closed.wait_for(2s), std::future_status::ready);
+  EXPECT_FALSE(closed.get().has_value());
+  thread_.join();
+  EXPECT_EQ(run_result_, 1);
+}
+
+TEST_F(NetTest, WarmHitOverTheSocketRunsNoPoolJob) {
+  store::CertStore store{dir() + "/cache"};
+  start_real(&store);
+  Client client = connect();
+  const std::string cmd = "verify " + size3_tail();
+  ASSERT_TRUE(client.send_line(cmd));
+  const auto cold = read_responses(client, 1);
+  ASSERT_NE(cold.back().find("cache=miss"), std::string::npos) << cold.back();
+  server_->engine().wait_idle();
+
+  const std::uint64_t jobs0 = jobs_executed();
+  ASSERT_TRUE(client.send_line(cmd));
+  const auto warm = read_responses(client, 1);
+  ASSERT_EQ(warm.size(), 2u);
+  EXPECT_EQ(warm[0], "queued id=2");
+  EXPECT_EQ(warm[1].rfind("result id=2 status=valid cache=hit ", 0), 0u)
+      << warm[1];
+  EXPECT_EQ(jobs_executed(), jobs0);
+  EXPECT_EQ(store.stats().memory_hits, 1u);
+}
+
+TEST_F(NetTest, WarmBatchEndsWithBatchDoneAndWaitIsIdleAtOnce) {
+  store::CertStore store{dir() + "/cache"};
+  start_real(&store);
+  Client client = connect();
+  ASSERT_TRUE(client.send_line("verify " + size3_tail()));
+  (void)read_responses(client, 1);
+  server_->engine().wait_idle();
+
+  const std::uint64_t jobs0 = jobs_executed();
+  ASSERT_TRUE(client.send_raw("batch-verify 3\n" + size3_tail() + "\n" +
+                              size3_tail() + "\n" + size3_tail() + "\nwait\n"));
+  std::vector<std::string> lines;
+  while (lines.empty() || lines.back() != "idle") {
+    const auto line = client.recv_line();
+    ASSERT_TRUE(line.has_value()) << "EOF before idle";
+    lines.push_back(*line);
+  }
+  // Every member is answered in line, in order, so the batch is done and
+  // the session idle by the time the `wait` line is parsed.
+  ASSERT_EQ(lines.size(), 6u);
+  EXPECT_EQ(lines[0], "queued ids=2-4 batch=3");
+  for (std::size_t i = 1; i <= 3; ++i)
+    EXPECT_EQ(lines[i].rfind("result id=" + std::to_string(i + 1) +
+                                 " status=valid cache=hit ",
+                             0),
+              0u)
+        << lines[i];
+  EXPECT_EQ(lines[4], "batch-done ids=2-4 ok=3 failed=0 shed=0");
+  EXPECT_EQ(jobs_executed(), jobs0);
+}
+
+TEST_F(NetTest, UnreadPipelinedWarmHitsStayWithinTheOutboxMark) {
+  // A client pipelines 10k warm requests and never reads a response.  Warm
+  // hits are answered on the event loop, so no pool throttles them: the
+  // outbox high-water mark must stop the loop reading that connection.
+  // Its backlog then holds at most the mark plus one request's lines, and
+  // other connections are still served.
+  constexpr std::int64_t kOneRequest = 1024;  // `queued` + `result` lines
+  store::CertStore store{dir() + "/cache"};
+  start_real(&store);
+  const std::string cmd = "verify " + size3_tail();
+  Client warmer = connect();
+  ASSERT_TRUE(warmer.send_line(cmd));
+  (void)read_responses(warmer, 1);
+  server_->engine().wait_idle();
+  const std::int64_t gauge0 = outbox_bytes();
+
+  std::string error;
+  Fd hostile = connect_unix(path_, error);
+  ASSERT_TRUE(hostile.valid()) << error;
+  ASSERT_TRUE(set_nonblocking(hostile.get()));
+  std::string payload;
+  for (int i = 0; i < 10000; ++i) payload += cmd + "\n";
+  std::size_t sent = 0;
+  const auto push = [&] {
+    while (sent < payload.size()) {
+      const ssize_t n = ::write(hostile.get(), payload.data() + sent,
+                                payload.size() - sent);
+      if (n <= 0) return;  // EAGAIN: the server is not reading
+      sent += static_cast<std::size_t>(n);
+    }
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 30s;
+  while (outbox_bytes() - gauge0 <
+             static_cast<std::int64_t>(kOutboxHighWaterBytes) &&
+         std::chrono::steady_clock::now() < deadline) {
+    push();
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_GE(outbox_bytes() - gauge0,
+            static_cast<std::int64_t>(kOutboxHighWaterBytes));
+  for (int i = 0; i < 20; ++i) {
+    push();
+    std::this_thread::sleep_for(10ms);
+    EXPECT_LE(outbox_bytes() - gauge0,
+              static_cast<std::int64_t>(kOutboxHighWaterBytes) + kOneRequest);
+  }
+  EXPECT_LT(sent, payload.size()) << "the server kept reading";
+
+  // Another connection's warm hit is answered meanwhile.
+  Client other = connect();
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(other.send_line(cmd));
+  const auto lines = read_responses(other, 1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 2s);
+  EXPECT_NE(lines.back().find("cache=hit"), std::string::npos) << lines.back();
+  EXPECT_LE(outbox_bytes() - gauge0,
+            static_cast<std::int64_t>(kOutboxHighWaterBytes) + kOneRequest);
+
+  // Hanging up releases the backlog.
+  hostile.reset();
+  const auto released = std::chrono::steady_clock::now() + 5s;
+  while (outbox_bytes() != gauge0 &&
+         std::chrono::steady_clock::now() < released)
+    std::this_thread::sleep_for(5ms);
+  EXPECT_EQ(outbox_bytes(), gauge0);
 }
 
 TEST(NetServerTest, StartWithoutListenersThrows) {

@@ -181,5 +181,43 @@ TEST(SpanTest, ConcurrentSpansCountExactly) {
   EXPECT_EQ(h.count(), before + kThreads * kPerThread);
 }
 
+TEST(SpanTest, ResolvedStageHistogramKeepsTheExpositionTheSame) {
+  // A span observing into a histogram resolved once (the warm request
+  // path) records exactly where a span looked up by stage name does: the
+  // same series, the same families in the exposition, the same counts.
+  // A dismissed span records nothing.
+  Registry& registry = Registry::global();
+  Histogram& resolved = stage_histogram("obs-test-resolved");
+  EXPECT_EQ(&resolved, &registry.histogram(
+                           "spiv_stage_seconds{stage=\"obs-test-resolved\"}"));
+  const auto families = [](const std::string& text) {
+    std::vector<std::string> lines;
+    std::istringstream is{text};
+    for (std::string line; std::getline(is, line);)
+      if (line.rfind("# TYPE ", 0) == 0) lines.push_back(line);
+    return lines;
+  };
+  const std::string before = registry.expose();
+  const std::uint64_t count0 = resolved.count();
+  {
+    Span by_name{"obs-test-resolved", "by name"};
+    Span by_ref{resolved, "obs-test-resolved", "resolved"};
+    EXPECT_EQ(by_ref.depth(), by_name.depth() + 1);
+  }
+  {
+    Span dismissed{resolved, "obs-test-resolved"};
+    dismissed.dismiss();
+  }
+  Span after{"obs-test-resolved"};
+  EXPECT_EQ(after.depth(), 0);  // a dismissed span still unwinds the stack
+  EXPECT_EQ(resolved.count(), count0 + 2);
+  const std::string exposed = registry.expose();
+  EXPECT_EQ(families(exposed), families(before));
+  EXPECT_NE(
+      exposed.find("spiv_stage_seconds_count{stage=\"obs-test-resolved\"} " +
+                   std::to_string(count0 + 2) + "\n"),
+      std::string::npos);
+}
+
 }  // namespace
 }  // namespace spiv::obs

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,8 +14,11 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iomanip>
+#include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -133,6 +138,25 @@ class ServiceTest : public ::testing::Test {
     return obs::Registry::global()
         .counter("spiv_serve_key_memo_hits_total")
         .value();
+  }
+
+  /// Jobs run to completion by every JobPool in the process.
+  static std::uint64_t jobs_executed() {
+    return obs::Registry::global()
+        .counter("spiv_pool_jobs_executed_total")
+        .value();
+  }
+
+  /// The built-in pipeline behind an injected Handler: every request runs
+  /// on the pool, as every request did before warm hits were answered on
+  /// the transport thread.
+  static ServeOptions pool_served(ServeOptions options) {
+    options.handler = [inner = default_handler()](
+                          const Request& req, store::CertStore* store,
+                          double ttl, const CancelToken& token) {
+      return inner(req, store, ttl, token);
+    };
+    return options;
   }
 
   fs::path dir_;
@@ -724,6 +748,215 @@ TEST_F(ServiceTest, KeyMemoServesManySessionsAtOnce) {
     EXPECT_TRUE(key == keys[0] || key == keys[1]) << line;
   }
   EXPECT_EQ(results, static_cast<std::size_t>(kSessions * kRequests));
+}
+
+// ------------------------------------------------ warm hits answered in line
+
+TEST_F(ServiceTest, FifoCaseFileIsAnErrorInsteadOfAHang) {
+  // A FIFO named as a case file used to block open(2) forever: the request
+  // never answered and the drain never returned.  Both the pool job (no
+  // store) and the transport thread's warm probe (store) must refuse it.
+  const std::string fifo = (dir_ / "case.fifo").string();
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  store::CertStore store{cache_path()};
+  for (store::CertStore* s : {static_cast<store::CertStore*>(nullptr),
+                              &store}) {
+    auto transcript = std::async(std::launch::async, [&] {
+      return drive("verify " + fifo + " 0 eq-num - sylvester 10\nquit\n", s);
+    });
+    const bool answered = transcript.wait_for(std::chrono::seconds(2)) ==
+                          std::future_status::ready;
+    if (!answered) {
+      // Release a reader stuck in open(2), so the test fails instead of
+      // hanging: a writer that comes and goes makes the read see EOF.
+      const int fd = ::open(fifo.c_str(), O_WRONLY | O_NONBLOCK);
+      if (fd >= 0) ::close(fd);
+    }
+    const std::string line = result_line(transcript.get(), 1);
+    EXPECT_TRUE(answered) << "store " << (s ? "on" : "off");
+    EXPECT_NE(line.find("status=error"), std::string::npos) << line;
+    EXPECT_NE(line.find("msg=cannot open case file " + fifo), std::string::npos)
+        << line;
+  }
+}
+
+TEST_F(ServiceTest, WarmHitIsAnsweredInLineWithoutAPoolJob) {
+  store::CertStore store{cache_path()};
+  Engine engine{store_options(&store)};
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  Session session{engine, [&](const std::string& line) {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    lines.push_back(line);
+                  }};
+  const std::string cmd = "verify " + case_path() + " 0 eq-num - sylvester 10";
+  (void)session.handle_line(cmd);
+  engine.wait_idle();
+  ASSERT_EQ(lines.size(), 2u);
+  ASSERT_NE(lines[1].find("cache=miss"), std::string::npos) << lines[1];
+  lines.clear();
+
+  const std::uint64_t jobs0 = jobs_executed();
+  const std::uint64_t hits0 = memo_hits();
+  (void)session.handle_line(cmd);
+  // Answered before handle_line returned, in order, with nothing pending.
+  EXPECT_EQ(session.pending(), 0u);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], "queued id=2");
+  EXPECT_EQ(lines[1].rfind("result id=2 status=valid cache=hit ", 0), 0u)
+      << lines[1];
+  engine.wait_idle();
+  EXPECT_EQ(jobs_executed(), jobs0);
+  EXPECT_EQ(memo_hits(), hits0 + 1);
+  EXPECT_EQ(store.stats().memory_hits, 1u);
+}
+
+TEST_F(ServiceTest, InLineHitIsByteIdenticalToThePoolServedHit) {
+  store::CertStore store{cache_path()};
+  const std::vector<std::string> cmds = {
+      "verify " + case_path("size3") + " 0 eq-num - sylvester 10",
+      "verify " + case_path("size5") + " 1 modal - sylvester 10",
+      "verify " + case_path("size3") + " 1 LMIa - sylvester 10 5"};
+  std::vector<std::string> in_line;
+  {
+    LiveSession live{store_options(&store)};
+    for (const std::string& cmd : cmds) (void)live.run(cmd);  // cold
+    const std::uint64_t jobs0 = jobs_executed();
+    for (const std::string& cmd : cmds) in_line.push_back(live.run(cmd));
+    EXPECT_EQ(jobs_executed(), jobs0);
+  }
+  // The same hits through an injected wrapper around default_handler():
+  // first its full path (empty memo), then its memo, both on the pool.
+  LiveSession pooled{pool_served(store_options(&store))};
+  for (std::size_t i = 0; i < cmds.size(); ++i) {
+    const std::uint64_t jobs0 = jobs_executed();
+    const std::string full = pooled.run(cmds[i]);
+    const std::string memo = pooled.run(cmds[i]);
+    EXPECT_EQ(jobs_executed(), jobs0 + 2);
+    EXPECT_NE(in_line[i].find("cache=hit"), std::string::npos) << in_line[i];
+    EXPECT_EQ(after_id(in_line[i]), after_id(full));
+    EXPECT_EQ(after_id(in_line[i]), after_id(memo));
+  }
+}
+
+TEST_F(ServiceTest, MemoHitHeldOnlyOnDiskIsServedByThePool) {
+  // The Engine keeps its memo while the store object is replaced by a
+  // fresh one over the same directory: the certificate is then on disk
+  // only, and the transport thread never reads the disk tier.
+  std::optional<store::CertStore> store;
+  store.emplace(cache_path());
+  Engine engine{store_options(&*store)};
+  std::mutex mutex;
+  std::vector<std::string> lines;
+  Session session{engine, [&](const std::string& line) {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    lines.push_back(line);
+                  }};
+  const std::string cmd = "verify " + case_path() + " 0 eq-num - sylvester 10";
+  (void)session.handle_line(cmd);
+  engine.wait_idle();
+  store.reset();
+  store.emplace(cache_path());
+
+  const std::uint64_t jobs0 = jobs_executed();
+  const std::uint64_t hits0 = memo_hits();
+  (void)session.handle_line(cmd);
+  engine.wait_idle();
+  std::string line = lines.back();
+  EXPECT_EQ(line.rfind("result id=2 status=valid cache=hit ", 0), 0u) << line;
+  EXPECT_EQ(jobs_executed(), jobs0 + 1);
+  EXPECT_EQ(memo_hits(), hits0 + 1);
+  store::StoreStats s = store->stats();
+  EXPECT_EQ(s.disk_hits, 1u);
+  EXPECT_EQ(s.memory_hits, 0u);
+  EXPECT_EQ(s.misses, 0u);
+
+  // The disk hit warmed the memory tier: the repeat is answered in line.
+  (void)session.handle_line(cmd);
+  engine.wait_idle();
+  EXPECT_EQ(after_id(lines.back()), after_id(line));
+  EXPECT_EQ(jobs_executed(), jobs0 + 1);
+  s = store->stats();
+  EXPECT_EQ(s.disk_hits, 1u);
+  EXPECT_EQ(s.memory_hits, 1u);
+}
+
+TEST_F(ServiceTest, InLineStreamCountsLikeThePoolServedStream) {
+  // One request stream, served once with warm hits answered in line and
+  // once with every request on the pool: the transcripts, the `stats`
+  // lines and every store, verify and stage counter agree; only the pool's
+  // job count differs, by the number of warm hits.
+  const std::string size3 =
+      " " + case_path("size3") + " 0 eq-num - sylvester 10";
+  const std::string size5 =
+      " " + case_path("size5") + " 1 modal - sylvester 10";
+  const std::string script =
+      "verify" + size3 + "\nverify" + size5 + "\nwait\n" +
+      "verify" + size3 + "\nverify" + size3 + "\nverify" + size5 + "\n" +
+      "batch-verify 2\n" + size3.substr(1) + "\n" + size5.substr(1) + "\n" +
+      "verify /nonexistent/case 0 eq-num - sylvester 10\n" +
+      "wait\nstats\nquit\n";
+  constexpr std::uint64_t kWarmHits = 5;
+  const std::vector<std::string> names = {
+      "spiv_serve_requests_total",
+      "spiv_serve_errors_total",
+      "spiv_serve_key_memo_hits_total",
+      "spiv_serve_request_seconds_count",
+      "spiv_store_memory_hits_total",
+      "spiv_store_disk_hits_total",
+      "spiv_store_misses_total",
+      "spiv_store_writes_total",
+      "spiv_verify_requests_total",
+      "spiv_verify_outcomes_total{status=\"valid\"}",
+      "spiv_stage_seconds_count{stage=\"case-load\"}",
+      "spiv_stage_seconds_count{stage=\"close-loop\"}",
+      "spiv_stage_seconds_count{stage=\"store-lookup\"}",
+      "spiv_stage_seconds_count{stage=\"store-insert\"}",
+      "spiv_pool_jobs_executed_total"};
+  struct Run {
+    std::string transcript;
+    std::map<std::string, double> delta;
+  };
+  const auto serve_stream = [&](const ServeOptions& options) {
+    Run run;
+    const std::string before = obs::Registry::global().expose();
+    run.transcript = drive_with(options, script);
+    const std::string after = obs::Registry::global().expose();
+    for (const std::string& name : names)  // a series not yet created reads 0
+      run.delta[name] = std::max(0.0, sample_value(after, name)) -
+                        std::max(0.0, sample_value(before, name));
+    return run;
+  };
+  store::CertStore in_line_store{(dir_ / "in-line").string()};
+  store::CertStore pooled_store{(dir_ / "pooled").string()};
+  const Run in_line = serve_stream(store_options(&in_line_store));
+  const Run pooled = serve_stream(pool_served(store_options(&pooled_store)));
+
+  // Two stores computed the certificates: only their timings differ.
+  const auto untimed = [](const std::string& line) {
+    return after_id(line).substr(0, after_id(line).find(" synth_seconds="));
+  };
+  for (std::size_t id = 1; id <= 8; ++id)
+    EXPECT_EQ(untimed(result_line(in_line.transcript, id)),
+              untimed(result_line(pooled.transcript, id)))
+        << "id " << id;
+  const auto stats_line = [](const std::string& transcript) {
+    return transcript.substr(transcript.find("stats jobs="));
+  };
+  EXPECT_EQ(stats_line(in_line.transcript), stats_line(pooled.transcript));
+  EXPECT_NE(in_line.transcript.find("memory_hits=5 disk_hits=0 misses=2"),
+            std::string::npos)
+      << in_line.transcript;
+  EXPECT_NE(in_line.transcript.find("batch-done ids=6-7 ok=2 failed=0 shed=0"),
+            std::string::npos)
+      << in_line.transcript;
+  for (const std::string& name : names) {
+    const double expected =
+        pooled.delta.at(name) -
+        (name == "spiv_pool_jobs_executed_total" ? kWarmHits : 0);
+    EXPECT_EQ(in_line.delta.at(name), expected) << name;
+  }
+  EXPECT_EQ(in_line.delta.at("spiv_serve_key_memo_hits_total"), kWarmHits);
 }
 
 }  // namespace

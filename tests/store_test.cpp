@@ -355,6 +355,33 @@ TEST(CertStore, UppercaseAndGarbageKeysShardSafely) {
   }
 }
 
+TEST(CertStore, MemoryOnlyLookupNeverReadsDiskAndCountsOnlyHits) {
+  TempDir dir{"memonly"};
+  const std::string key = request_key(sample_request());
+  {
+    CertStore writer{dir.path()};
+    writer.insert(key, sample_record());
+  }
+  // A fresh store over the populated directory: the certificate is on disk
+  // only.  The memory-only probe misses without counting anything, so the
+  // full lookup that follows counts the request once.
+  CertStore store{dir.path()};
+  EXPECT_EQ(store.lookup_memory(key), nullptr);
+  StoreStats s = store.stats();
+  EXPECT_EQ(s.memory_hits + s.disk_hits + s.misses, 0u);
+  ASSERT_NE(store.lookup(key), nullptr);
+  s = store.stats();
+  EXPECT_EQ(s.disk_hits, 1u);
+  EXPECT_EQ(s.misses, 0u);
+  // The disk hit warmed the memory tier, which now answers alone.
+  const auto hit = store.lookup_memory(key);
+  ASSERT_NE(hit, nullptr);
+  expect_records_equal(sample_record(), *hit);
+  EXPECT_EQ(store.stats().memory_hits, 1u);
+  EXPECT_EQ(store.lookup_memory("not-a-key"), nullptr);
+  EXPECT_EQ(store.stats().misses, 0u);
+}
+
 // ------------------------------------------------------- negative tier
 
 TEST(CertStoreNegative, RemembersReasonWithTtlAndCountsPerTier) {
@@ -414,6 +441,25 @@ TEST(CertStoreNegative, TimeoutEntriesShieldOnlySmallerOrEqualBudgets) {
   const auto hit = store.lookup_negative("s", 1e9);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->reason, "synth-failed");
+}
+
+TEST(CertStoreNegative, ACertificateSupersedesARememberedFailure) {
+  // A run that timed out at 1 s, then a bigger budget that produced a
+  // certificate: the certificate answers every budget from then on, even
+  // once the memory tier has evicted it, so a memory-only probe (memory
+  // tier, then negative tier) answers what a full lookup would.
+  TempDir dir{"negcert"};
+  CertStore store{dir.path(), /*memory_capacity=*/16};
+  const std::string key = request_key(sample_request());
+  store.insert_negative(key, "timeout-synthesis", /*budget=*/1.0, 60.0);
+  ASSERT_TRUE(store.lookup_negative(key, 0.5).has_value());
+  store.insert(key, sample_record());
+  EXPECT_FALSE(store.lookup_negative(key, 0.5).has_value());
+  // A disk hit drops it too (the failure was remembered after the write).
+  CertStore fresh{dir.path()};
+  fresh.insert_negative(key, "timeout-synthesis", 1.0, 60.0);
+  ASSERT_NE(fresh.lookup(key), nullptr);
+  EXPECT_FALSE(fresh.lookup_negative(key, 0.5).has_value());
 }
 
 TEST(CertStoreNegative, MemoryEntriesGaugeTracksTheLruExactly) {
