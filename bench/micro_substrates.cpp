@@ -1,8 +1,9 @@
 // Google-benchmark micro benchmarks for the substrates: exact arithmetic,
-// dense linear algebra, Lyapunov solvers, LMI iterations and validation
-// engines.  These quantify the building blocks behind Tables I/II.  The
-// last two time the text paths every warm `verify` request pays: the case
-// file read and the certificate key.
+// dense linear algebra (the SDP Newton step's SPD factor and solve among
+// them), Lyapunov solvers, LMI iterations and validation engines.  These
+// quantify the building blocks behind Tables I/II.  The last two time the
+// text paths every warm `verify` request pays: the case file read and the
+// certificate key.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -250,6 +251,32 @@ void BM_LmiNewtonSolve(benchmark::State& state) {
         sdp::solve_lmi(problem, sdp::Backend::NewtonAnalyticCenter));
 }
 BENCHMARK(BM_LmiNewtonSolve)->Arg(6)->Arg(13)->Arg(21);
+
+void BM_SpdFactorSolve(benchmark::State& state) {
+  // The SDP Newton step's dense solve, alone: 92/172/232 unknowns are the
+  // Newton systems of the size-10/15/18 plants (vech(P) plus the slack).
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::mt19937_64 rng{6};
+  std::normal_distribution<double> d;
+  Matrix b{n, n};
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j) b(i, j) = d(rng);
+  const Matrix h = (b * b.transposed() + Matrix::identity(n)).symmetrized();
+  const numeric::Vector rhs(n, 1.0);
+  for (auto _ : state) {
+    state.PauseTiming();
+    Matrix m = h;
+    numeric::Vector x = rhs;
+    state.ResumeTiming();
+    if (!numeric::cholesky_solve(m, x)) state.SkipWithError("not SPD");
+    benchmark::DoNotOptimize(x.data());
+  }
+}
+BENCHMARK(BM_SpdFactorSolve)
+    ->Arg(92)
+    ->Arg(172)
+    ->Arg(232)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SylvesterValidation(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

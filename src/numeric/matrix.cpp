@@ -257,25 +257,67 @@ double Matrix::determinant() const {
 }
 
 std::optional<Matrix> Matrix::cholesky() const {
-  if (!is_square())
+  // L = U^T for the factor U of the transpose, whose upper triangle is
+  // this lower triangle; the kernel leaves the rest of u as it was.
+  Matrix u = transposed();
+  if (!cholesky_in_place(u)) return std::nullopt;
+  for (std::size_t i = 1; i < rows_; ++i)
+    for (std::size_t j = 0; j < i; ++j) u(i, j) = 0.0;
+  return u.transposed();
+}
+
+bool cholesky_in_place(Matrix& m) {
+  if (!m.is_square())
     throw std::invalid_argument("Matrix: cholesky requires square");
-  const std::size_t n = rows_;
-  Matrix l{n, n};
+  const std::size_t n = m.rows();
   for (std::size_t j = 0; j < n; ++j) {
-    double diag = (*this)(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
-    // Written so a NaN pivot fails too (`diag <= 0.0` is false for NaN).
+    double* uj = &m(j, 0);
+    // Written so a NaN pivot fails too (`uj[j] <= 0.0` is false for NaN).
     // An infinite pivot only comes from an infinite entry: no factor.
-    if (!(diag > 0.0) || std::isinf(diag)) return std::nullopt;
-    l(j, j) = std::sqrt(diag);
-    const double inv = 1.0 / l(j, j);
+    if (!(uj[j] > 0.0) || std::isinf(uj[j])) return false;
+    uj[j] = std::sqrt(uj[j]);
+    const double inv = 1.0 / uj[j];
+    for (std::size_t k = j + 1; k < n; ++k) uj[k] *= inv;
     for (std::size_t i = j + 1; i < n; ++i) {
-      double acc = (*this)(i, j);
-      for (std::size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
-      l(i, j) = acc * inv;
+      const double f = uj[i];
+      double* ui = &m(i, 0);
+      // Unrolled by four so the compiler pairs the updates into vector
+      // instructions at -O2.
+      std::size_t k = i;
+      for (; k + 4 <= n; k += 4) {
+        ui[k] -= f * uj[k];
+        ui[k + 1] -= f * uj[k + 1];
+        ui[k + 2] -= f * uj[k + 2];
+        ui[k + 3] -= f * uj[k + 3];
+      }
+      for (; k < n; ++k) ui[k] -= f * uj[k];
     }
   }
-  return l;
+  return true;
+}
+
+void solve_upper_transposed(const Matrix& u, Vector& b) {
+  const std::size_t n = u.rows();
+  for (std::size_t i = 0; i < n; ++i) {
+    b[i] /= u(i, i);
+    for (std::size_t k = i + 1; k < n; ++k) b[k] -= u(i, k) * b[i];
+  }
+}
+
+void solve_upper(const Matrix& u, Vector& b) {
+  const std::size_t n = u.rows();
+  for (std::size_t i = n; i-- > 0;) {
+    double acc = b[i];
+    for (std::size_t k = i + 1; k < n; ++k) acc -= u(i, k) * b[k];
+    b[i] = acc / u(i, i);
+  }
+}
+
+bool cholesky_solve(Matrix& m, Vector& b) {
+  if (!cholesky_in_place(m)) return false;
+  solve_upper_transposed(m, b);
+  solve_upper(m, b);
+  return true;
 }
 
 std::ostream& operator<<(std::ostream& os, const Matrix& m) {

@@ -71,8 +71,8 @@ class Matrix {
   [[nodiscard]] std::optional<Matrix> inverse() const;
   [[nodiscard]] double determinant() const;
 
-  /// Cholesky factor L (lower) with M = L L^T; nullopt when not PD
-  /// (within roundoff).
+  /// Cholesky factor L (lower) with M = L L^T, from this lower triangle;
+  /// nullopt when not PD.  Allocates; cholesky_in_place does the work.
   [[nodiscard]] std::optional<Matrix> cholesky() const;
 
   friend std::ostream& operator<<(std::ostream& os, const Matrix& m);
@@ -82,6 +82,21 @@ class Matrix {
   std::size_t cols_ = 0;
   std::vector<double> data_;
 };
+
+// --- the dense SPD kernel ------------------------------------------------
+
+/// Factor the SPD matrix held in the upper triangle of `m` in place as
+/// M = U^T U (row-oriented, right-looking; the strict lower triangle is not
+/// touched).  False when a pivot is not positive and finite (NaN and ±Inf
+/// never factor); throws std::invalid_argument when `m` is not square.
+[[nodiscard]] bool cholesky_in_place(Matrix& m);
+/// Solve U^T y = b in place, U from cholesky_in_place.
+void solve_upper_transposed(const Matrix& u, Vector& b);
+/// Solve U x = y in place, U from cholesky_in_place.
+void solve_upper(const Matrix& u, Vector& b);
+/// Solve M x = b in place by the three above; false (b unchanged) when M
+/// does not factor.
+[[nodiscard]] bool cholesky_solve(Matrix& m, Vector& b);
 
 // --- free vector helpers -------------------------------------------------
 

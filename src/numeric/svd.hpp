@@ -1,8 +1,8 @@
 // spiv::numeric — singular value decomposition (one-sided Jacobi).
 //
-// Used by balanced-truncation model reduction (Hankel singular values of
-// the Gramian product) and for spectral norms in the robustness bounds of
-// paper §VI-C2.  One-sided Jacobi is slower than Golub–Kahan but simple
+// Only a test reference (crosscheck_test, numeric_property_test) and a
+// micro benchmark: balanced truncation and spectral norms use
+// symmetric_eigen.  One-sided Jacobi is slower than Golub–Kahan but simple
 // and extremely robust at our sizes (n <= ~22).
 #pragma once
 

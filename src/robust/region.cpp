@@ -7,7 +7,6 @@
 
 #include "exact/matrix.hpp"
 #include "numeric/eigen.hpp"
-#include "numeric/svd.hpp"
 #include "smt/validate.hpp"
 
 namespace spiv::robust {
@@ -168,15 +167,15 @@ RobustRegion synthesize_region(const model::PwaSystem& system,
   // Volume of the truncated ellipsoid W = {V <= k} ∩ R_i: full ellipsoid
   // volume times a Monte-Carlo estimate of the fraction inside the region.
   const double full = ellipsoid_volume(p, out.k);
-  auto chol = p.symmetrized().cholesky();
-  if (chol && full > 0.0 && options.volume_samples > 0) {
-    // x = w_eq + sqrt(k) L^-T z with z uniform in the unit ball.
+  Matrix u = p.symmetrized();  // P = U^T U once factored
+  if (numeric::cholesky_in_place(u) && full > 0.0 &&
+      options.volume_samples > 0) {
+    // x = w_eq + sqrt(k) U^-1 z with z uniform in the unit ball.
     Vector w_eq = mode.equilibrium(r);
     std::mt19937_64 rng{0x5e9f00d5};
     std::normal_distribution<double> gauss;
     std::uniform_real_distribution<double> unif{0.0, 1.0};
     int inside = 0;
-    const Matrix lt = chol->transposed();
     for (int s = 0; s < options.volume_samples; ++s) {
       Vector z(d);
       double norm = 0.0;
@@ -188,15 +187,9 @@ RobustRegion synthesize_region(const model::PwaSystem& system,
       const double radius =
           std::pow(unif(rng), 1.0 / static_cast<double>(d)) / norm;
       for (auto& v : z) v *= radius * std::sqrt(out.k);
-      // Solve L^T y = z  =>  y = L^-T z.
-      Vector y(d, 0.0);
-      for (std::size_t i = d; i-- > 0;) {
-        double acc = z[i];
-        for (std::size_t j = i + 1; j < d; ++j) acc -= lt(i, j) * y[j];
-        y[i] = acc / lt(i, i);
-      }
+      numeric::solve_upper(u, z);  // z := U^-1 z
       Vector x(d);
-      for (std::size_t i = 0; i < d; ++i) x[i] = w_eq[i] + y[i];
+      for (std::size_t i = 0; i < d; ++i) x[i] = w_eq[i] + z[i];
       if (mode.contains(x)) ++inside;
     }
     out.volume = full * static_cast<double>(inside) /

@@ -184,42 +184,25 @@ void accumulate_block(const MatrixPencil& pencil, const Matrix& s,
   hess(big_k, big_k) += frob;
 }
 
-/// Solve H x = b for a symmetric positive-definite H given by its upper
-/// triangle.  H = U^T U overwrites that triangle (row-oriented right-looking
-/// Cholesky) and x overwrites b.  False when a pivot is not positive.
-bool cholesky_solve(Matrix& h, Vector& b) {
-  const std::size_t n = h.rows();
-  for (std::size_t j = 0; j < n; ++j) {
-    double* uj = &h(j, 0);
-    if (!(uj[j] > 0.0)) return false;
-    uj[j] = std::sqrt(uj[j]);
-    const double inv = 1.0 / uj[j];
-    for (std::size_t k = j + 1; k < n; ++k) uj[k] *= inv;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      const double f = uj[i];
-      double* ui = &h(i, 0);
-      // Unrolled by four so the compiler pairs the updates into vector
-      // instructions at -O2.
-      std::size_t k = i;
-      for (; k + 4 <= n; k += 4) {
-        ui[k] -= f * uj[k];
-        ui[k + 1] -= f * uj[k + 1];
-        ui[k + 2] -= f * uj[k + 2];
-        ui[k + 3] -= f * uj[k + 3];
-      }
-      for (; k < n; ++k) ui[k] -= f * uj[k];
-    }
+/// One backend's step schedule: the barrier weight mu on t and its growth
+/// per outer round, the stop margin over the target, the outer rounds, and
+/// the line search's first and smallest step.  Fast-ipm ramps mu fast and
+/// stops at the first point past the margin without re-centering;
+/// short-ipm crawls along the central path with capped damped-Newton steps
+/// (slow but certain).
+struct Schedule {
+  double mu, mu_growth, margin_factor;
+  int max_outer;
+  double max_step, min_step;
+};
+
+Schedule schedule(Backend backend) {
+  switch (backend) {
+    case Backend::NewtonAnalyticCenter: return {4.0, 6.0, 10.0, 10, 1.0, 1e-4};
+    case Backend::FastInteriorPoint: return {16.0, 20.0, 1.0, 6, 1.0, 1e-2};
+    case Backend::ShortStepBarrier: return {1.0, 1.4, 10.0, 60, 0.18, 1e-4};
   }
-  for (std::size_t i = 0; i < n; ++i) {  // U^T y = b
-    b[i] /= h(i, i);
-    for (std::size_t k = i + 1; k < n; ++k) b[k] -= h(i, k) * b[i];
-  }
-  for (std::size_t i = n; i-- > 0;) {  // U x = y
-    double acc = b[i];
-    for (std::size_t k = i + 1; k < n; ++k) acc -= h(i, k) * b[k];
-    b[i] = acc / h(i, i);
-  }
-  return true;
+  throw std::invalid_argument("solve_lmi: unknown backend");
 }
 
 }  // namespace
@@ -239,10 +222,9 @@ std::optional<BarrierDerivatives> barrier_derivatives(const LmiProblem& problem,
   return d;
 }
 
-LmiSolution solve_lmi_barrier(const LmiProblem& problem,
-                              const LmiOptions& options, BarrierMode mode) {
-  const bool aggressive = mode == BarrierMode::Aggressive;
-  const bool short_step = mode == BarrierMode::ShortStep;
+LmiSolution solve_lmi(const LmiProblem& problem, Backend backend,
+                      const LmiOptions& options) {
+  const Schedule sched = schedule(backend);
   problem.validate();
   const auto start = std::chrono::steady_clock::now();
   const std::size_t big_k = problem.num_vars;  // p variables
@@ -253,34 +235,27 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
   Vector p(big_k, 0.0);
   double t = problem.min_eigenvalue(p) - 1.0;
 
-  // -sum log det(F_j(p) - t I) from one Cholesky per block; +inf when a
-  // block is not positive definite.
+  // -sum log det(F_j(p) - t I) from one in-place Cholesky per block; +inf
+  // when a block is not positive definite.
   auto barrier_value = [&](const Vector& pp, double tt) {
     double phi = 0.0;
     for (const auto& pencil : problem.constraints) {
-      auto chol = shifted_block(pencil, pp, tt).cholesky();
-      if (!chol) return std::numeric_limits<double>::infinity();
-      for (std::size_t i = 0; i < chol->rows(); ++i)
-        phi -= 2.0 * std::log((*chol)(i, i));
+      Matrix g = shifted_block(pencil, pp, tt);
+      if (!numeric::cholesky_in_place(g))
+        return std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i < g.rows(); ++i)
+        phi -= 2.0 * std::log(g(i, i));
     }
     return phi;
   };
 
   LmiSolution sol;
-  // Barrier weight on t; aggressive mode ramps it much faster and accepts
-  // the first point past the margin without re-centering, while the
-  // short-step mode crawls along the central path (slow but certain).
-  double mu = aggressive ? 16.0 : (short_step ? 1.0 : 4.0);
-  const double mu_growth = aggressive ? 20.0 : (short_step ? 1.4 : 6.0);
-  const double stop_margin =
-      aggressive ? options.target_margin : options.target_margin * 10.0;
-  const int max_outer = aggressive ? 6 : (short_step ? 60 : 10);
-  // Short-step mode caps the damped-Newton step fraction.
-  const double max_step = short_step ? 0.18 : 1.0;
+  double mu = sched.mu;  // barrier weight on t
+  const double stop_margin = options.target_margin * sched.margin_factor;
 
   int iters = 0;
   double barrier = barrier_value(p, t);  // at the current (p, t)
-  for (int outer = 0; outer < max_outer; ++outer) {
+  for (int outer = 0; outer < sched.max_outer; ++outer) {
     for (int inner = 0; inner < options.max_iterations; ++inner) {
       options.deadline.check();
       ++iters;
@@ -299,14 +274,14 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
       for (std::size_t i = 0; i < nx; ++i) hess(i, i) += 1e-12 * diag_max;
       Vector step(nx);
       for (std::size_t i = 0; i < nx; ++i) step[i] = -grad[i];
-      if (!cholesky_solve(hess, step)) return sol;
+      if (!numeric::cholesky_solve(hess, step)) return sol;
 
       // Backtracking line search maintaining strict feasibility of the
       // shifted blocks and decreasing phi_mu.  Only a finite barrier value
       // (every block positive definite) is a candidate, so the small-step
       // clause can never accept an infeasible point.
       const double phi0 = barrier - mu * t;
-      double s = max_step;
+      double s = sched.max_step;
       Vector p_new = p;
       double t_new = t;
       double barrier_new = barrier;
@@ -317,8 +292,7 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
         barrier_new = barrier_value(p_new, t_new);
         if (std::isfinite(barrier_new)) {
           const double phi1 = barrier_new - mu * t_new;
-          if (phi1 < phi0 - 1e-12 * std::abs(phi0) ||
-              s < (aggressive ? 1e-2 : 1e-4)) {
+          if (phi1 < phi0 - 1e-12 * std::abs(phi0) || s < sched.min_step) {
             accepted = true;
             break;
           }
@@ -342,7 +316,7 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
       }
       if (std::abs(decrement) < 1e-10 * (1.0 + std::abs(t))) break;
     }
-    mu *= mu_growth;
+    mu *= sched.mu_growth;
   }
 
   // Out of budget: report whatever margin we reached.
@@ -354,19 +328,6 @@ LmiSolution solve_lmi_barrier(const LmiProblem& problem,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return sol;
-}
-
-LmiSolution solve_lmi(const LmiProblem& problem, Backend backend,
-                      const LmiOptions& options) {
-  switch (backend) {
-    case Backend::NewtonAnalyticCenter:
-      return solve_lmi_barrier(problem, options, BarrierMode::Robust);
-    case Backend::FastInteriorPoint:
-      return solve_lmi_barrier(problem, options, BarrierMode::Aggressive);
-    case Backend::ShortStepBarrier:
-      return solve_lmi_barrier(problem, options, BarrierMode::ShortStep);
-  }
-  throw std::invalid_argument("solve_lmi: unknown backend");
 }
 
 }  // namespace spiv::sdp

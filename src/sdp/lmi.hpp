@@ -140,9 +140,6 @@ struct LmiSolution {
 [[nodiscard]] LmiSolution solve_lmi(const LmiProblem& problem, Backend backend,
                                     const LmiOptions& options = {});
 
-/// Stepping style of the shared barrier machinery (one per backend).
-enum class BarrierMode { Robust, Aggressive, ShortStep };
-
 /// Gradient and Hessian of the barrier -sum_j log det(F_j(p) - t I) over
 /// x = (p, t), the slack last.
 struct BarrierDerivatives {
@@ -150,13 +147,10 @@ struct BarrierDerivatives {
   numeric::Matrix hess;
 };
 
-// Internal entry points; exposed for targeted testing.
+// Internal entry point; exposed for targeted testing.
 /// The barrier derivatives at (p, t); nullopt when a shifted block is
 /// singular.
 [[nodiscard]] std::optional<BarrierDerivatives> barrier_derivatives(
     const LmiProblem& problem, const numeric::Vector& p, double t);
-[[nodiscard]] LmiSolution solve_lmi_barrier(const LmiProblem& problem,
-                                            const LmiOptions& options,
-                                            BarrierMode mode);
 
 }  // namespace spiv::sdp

@@ -482,6 +482,17 @@ struct Session::Batch {
   std::atomic<std::size_t> failed{0};
   std::atomic<std::size_t> shed{0};
   LineSink sink;
+
+  /// Retire n members; the call that retires the last emits batch-done.
+  void retire(std::size_t n) {
+    if (remaining.fetch_sub(n, std::memory_order_acq_rel) != n) return;
+    std::ostringstream os;
+    os << "batch-done ids=" << first << "-" << last
+       << " ok=" << ok.load(std::memory_order_relaxed)
+       << " failed=" << failed.load(std::memory_order_relaxed)
+       << " shed=" << shed.load(std::memory_order_relaxed);
+    sink(os.str());
+  }
 };
 
 Session::Session(Engine& engine, LineSink sink,
@@ -500,14 +511,7 @@ void Session::resolve_batch_member(const std::shared_ptr<Batch>& batch,
     batch->ok.fetch_add(1, std::memory_order_relaxed);
   else
     batch->failed.fetch_add(1, std::memory_order_relaxed);
-  if (batch->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    std::ostringstream os;
-    os << "batch-done ids=" << batch->first << "-" << batch->last
-       << " ok=" << batch->ok.load(std::memory_order_relaxed)
-       << " failed=" << batch->failed.load(std::memory_order_relaxed)
-       << " shed=" << batch->shed.load(std::memory_order_relaxed);
-    batch->sink(os.str());
-  }
+  batch->retire(1);
 }
 
 void Session::handle_verify_args(std::istringstream& is,
@@ -706,19 +710,8 @@ void Session::finish_input() {
   engine_.count_error();
   // Retire the unread members without classifying them, so the members
   // that DID arrive still produce a batch-done line when they land.
-  auto batch = open_batch_;
-  open_batch_.reset();
-  const std::size_t unread = batch_to_read_;
-  batch_to_read_ = 0;
-  if (batch->remaining.fetch_sub(unread, std::memory_order_acq_rel) ==
-      unread) {
-    std::ostringstream done;
-    done << "batch-done ids=" << batch->first << "-" << batch->last
-         << " ok=" << batch->ok.load(std::memory_order_relaxed)
-         << " failed=" << batch->failed.load(std::memory_order_relaxed)
-         << " shed=" << batch->shed.load(std::memory_order_relaxed);
-    batch->sink(done.str());
-  }
+  const std::size_t unread = std::exchange(batch_to_read_, 0);
+  std::exchange(open_batch_, nullptr)->retire(unread);
 }
 
 // ---------------------------------------------------------- stdin transport

@@ -378,7 +378,7 @@ TEST_F(NetTest, BinaryGarbageGetsErrorLinesWithoutKillingTheServer) {
   // Binary garbage with embedded newlines: each chunk parses as an unknown
   // command and earns an error line; the connection survives.
   ASSERT_TRUE(client.send_line(std::string{"\x01\x02\xfe\xff garbage"}));
-  ASSERT_TRUE(client.send_line(std::string{"\x00\x7f more", 9}));
+  ASSERT_TRUE(client.send_line(std::string{"\x00\x7f more", 7}));
   ASSERT_TRUE(client.send_line(verify_line(0)));
   const auto lines = read_responses(client, 1);
   EXPECT_GE(count_prefix(lines, "error unknown command"), 2u);

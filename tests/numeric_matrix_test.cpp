@@ -1,4 +1,5 @@
-// Tests for spiv::numeric dense matrices, QR, Cholesky, symmetric eigen.
+// Tests for spiv::numeric dense matrices, QR, the SPD kernel and its
+// Cholesky wrapper, symmetric eigen.
 #include "numeric/matrix.hpp"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,70 @@ TEST(NumericMatrix, CholeskyRejectsNonFinitePivots) {
   EXPECT_FALSE((Matrix{{1, 0}, {0, inf}}.cholesky().has_value()));
   // A NaN off-diagonal entry poisons the next pivot.
   EXPECT_FALSE((Matrix{{1, nan}, {nan, 1}}.cholesky().has_value()));
+}
+
+/// An exactly symmetric positive-definite n x n matrix.
+Matrix random_spd(std::mt19937_64& rng, std::size_t n) {
+  const Matrix b = random_matrix(rng, n, n);
+  return (b * b.transposed() + Matrix::identity(n)).symmetrized();
+}
+
+TEST(NumericSpdKernel, FactorRejectsNonFinitePivotsAndSolveLeavesBAlone) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  // The kernel reads the upper triangle only, so the off-diagonal NaN sits
+  // there; the lower triangle holds a finite decoy.
+  for (const Matrix& bad :
+       {Matrix{{nan, 0}, {0, 1}}, Matrix{{1, 0}, {0, nan}},
+        Matrix{{inf, 0}, {0, 1}}, Matrix{{1, 0}, {0, inf}},
+        Matrix{{-inf, 0}, {0, 1}}, Matrix{{1, 0}, {0, -inf}},
+        Matrix{{1, nan}, {0, 1}}}) {
+    Matrix m = bad;
+    EXPECT_FALSE(cholesky_in_place(m)) << bad;
+    // The full solve the SDP Newton step uses: an infinite pivot no longer
+    // "factors", and b stays as it was.
+    Matrix h = bad;
+    Vector b{1.0, 2.0};
+    EXPECT_FALSE(cholesky_solve(h, b)) << bad;
+    EXPECT_EQ(b, (Vector{1.0, 2.0}));
+  }
+  Matrix rect{2, 3};
+  EXPECT_THROW((void)cholesky_in_place(rect), std::invalid_argument);
+}
+
+TEST(NumericSpdKernel, FactorIsTheWrapperFactorTransposedBitForBit) {
+  std::mt19937_64 rng{28};
+  for (std::size_t n = 1; n <= 40; ++n) {
+    const Matrix a = random_spd(rng, n);
+    const auto l = a.cholesky();
+    ASSERT_TRUE(l.has_value()) << n;
+    Matrix u = a;
+    ASSERT_TRUE(cholesky_in_place(u)) << n;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        if (j >= i)
+          EXPECT_EQ(u(i, j), (*l)(j, i)) << n << ": (" << i << "," << j << ")";
+        else  // the strict lower triangle is left as it was
+          EXPECT_EQ(u(i, j), a(i, j)) << n << ": (" << i << "," << j << ")";
+      }
+    // Shifted indefinite: both refuse.
+    Matrix bad = a - Matrix::identity(n) * (2.0 * a.max_abs() * n);
+    EXPECT_FALSE(bad.cholesky().has_value()) << n;
+    EXPECT_FALSE(cholesky_in_place(bad)) << n;
+  }
+}
+
+TEST(NumericSpdKernel, SolveMatchesTheTrueSolution) {
+  std::mt19937_64 rng{29};
+  for (std::size_t n : {1, 2, 3, 4, 5, 7, 8, 9, 21}) {
+    const Matrix a = random_spd(rng, n);
+    const Vector x_true = random_matrix(rng, n, 1).data();
+    Vector b = a.apply(x_true);
+    Matrix h = a;
+    ASSERT_TRUE(cholesky_solve(h, b)) << n;
+    for (std::size_t i = 0; i < n; ++i)
+      EXPECT_NEAR(b[i], x_true[i], 1e-9) << n << ": " << i;
+  }
 }
 
 TEST(NumericQr, ReconstructionAndOrthogonality) {
