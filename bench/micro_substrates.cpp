@@ -254,7 +254,8 @@ BENCHMARK(BM_LmiNewtonSolve)->Arg(6)->Arg(13)->Arg(21);
 
 void BM_SpdFactorSolve(benchmark::State& state) {
   // The SDP Newton step's dense solve, alone: 92/172/232 unknowns are the
-  // Newton systems of the size-10/15/18 plants (vech(P) plus the slack).
+  // Newton systems of the size-10/15/18 plants (vech(P) plus the slack);
+  // 21 is a size-18 line-search block, one panel of the blocked factor.
   const auto n = static_cast<std::size_t>(state.range(0));
   std::mt19937_64 rng{6};
   std::normal_distribution<double> d;
@@ -273,6 +274,7 @@ void BM_SpdFactorSolve(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpdFactorSolve)
+    ->Arg(21)
     ->Arg(92)
     ->Arg(172)
     ->Arg(232)

@@ -266,11 +266,20 @@ std::optional<Matrix> Matrix::cholesky() const {
   return u.transposed();
 }
 
-bool cholesky_in_place(Matrix& m) {
-  if (!m.is_square())
-    throw std::invalid_argument("Matrix: cholesky requires square");
+namespace {
+
+// Pivot rows per panel of the blocked factor.  A matrix smaller than two
+// panels is factored as one panel, by the plain row loop alone: below that
+// size the tile pass costs more than it saves.
+constexpr std::size_t kPanel = 16;
+
+/// Factor pivot rows [p0, p1) of `m`, whose first p0 rows are factored and
+/// whose other rows hold their updates, applying each pivot's update to the
+/// panel rows after it only.  False at the first pivot that is not positive
+/// and finite.
+bool factor_panel(Matrix& m, std::size_t p0, std::size_t p1) {
   const std::size_t n = m.rows();
-  for (std::size_t j = 0; j < n; ++j) {
+  for (std::size_t j = p0; j < p1; ++j) {
     double* uj = &m(j, 0);
     // Written so a NaN pivot fails too (`uj[j] <= 0.0` is false for NaN).
     // An infinite pivot only comes from an infinite entry: no factor.
@@ -278,7 +287,7 @@ bool cholesky_in_place(Matrix& m) {
     uj[j] = std::sqrt(uj[j]);
     const double inv = 1.0 / uj[j];
     for (std::size_t k = j + 1; k < n; ++k) uj[k] *= inv;
-    for (std::size_t i = j + 1; i < n; ++i) {
+    for (std::size_t i = j + 1; i < p1; ++i) {
       const double f = uj[i];
       double* ui = &m(i, 0);
       // Unrolled by four so the compiler pairs the updates into vector
@@ -292,6 +301,88 @@ bool cholesky_in_place(Matrix& m) {
       }
       for (; k < n; ++k) ui[k] -= f * uj[k];
     }
+  }
+  return true;
+}
+
+/// u(i..i+3, k..k+3) -= u(j, i..i+3)^T u(j, k..k+3) for each pivot row j in
+/// [p0, p1), in that order, one product at a time.  The 16 entries stay in
+/// registers across the pivots; `u` is row-major with row stride `ld`.  On
+/// the diagonal (k == i) the strict lower entries are neither read nor
+/// written.
+template <bool Diagonal>
+void update_tile(double* u, std::size_t ld, std::size_t p0, std::size_t p1,
+                 std::size_t i, std::size_t k) {
+  double* r0 = u + i * ld + k;
+  double* r1 = r0 + ld;
+  double* r2 = r1 + ld;
+  double* r3 = r2 + ld;
+  double c00 = r0[0], c01 = r0[1], c02 = r0[2], c03 = r0[3];
+  double c10 = Diagonal ? 0.0 : r1[0], c11 = r1[1], c12 = r1[2], c13 = r1[3];
+  double c20 = Diagonal ? 0.0 : r2[0], c21 = Diagonal ? 0.0 : r2[1],
+         c22 = r2[2], c23 = r2[3];
+  double c30 = Diagonal ? 0.0 : r3[0], c31 = Diagonal ? 0.0 : r3[1],
+         c32 = Diagonal ? 0.0 : r3[2], c33 = r3[3];
+  for (std::size_t j = p0; j < p1; ++j) {
+    const double* uj = u + j * ld;
+    const double a0 = uj[i], a1 = uj[i + 1], a2 = uj[i + 2], a3 = uj[i + 3];
+    const double b0 = uj[k], b1 = uj[k + 1], b2 = uj[k + 2], b3 = uj[k + 3];
+    c00 -= a0 * b0; c01 -= a0 * b1; c02 -= a0 * b2; c03 -= a0 * b3;
+    c10 -= a1 * b0; c11 -= a1 * b1; c12 -= a1 * b2; c13 -= a1 * b3;
+    c20 -= a2 * b0; c21 -= a2 * b1; c22 -= a2 * b2; c23 -= a2 * b3;
+    c30 -= a3 * b0; c31 -= a3 * b1; c32 -= a3 * b2; c33 -= a3 * b3;
+  }
+  r0[0] = c00; r0[1] = c01; r0[2] = c02; r0[3] = c03;
+  r1[1] = c11; r1[2] = c12; r1[3] = c13;
+  r2[2] = c22; r2[3] = c23;
+  r3[3] = c33;
+  if (!Diagonal) {
+    r1[0] = c10;
+    r2[0] = c20; r2[1] = c21;
+    r3[0] = c30; r3[1] = c31; r3[2] = c32;
+  }
+}
+
+/// u(i, k) -= u(j, i) u(j, k) for each pivot row j in [p0, p1), in order.
+void update_entry(double* u, std::size_t ld, std::size_t p0, std::size_t p1,
+                  std::size_t i, std::size_t k) {
+  double c = u[i * ld + k];
+  for (std::size_t j = p0; j < p1; ++j) c -= u[j * ld + i] * u[j * ld + k];
+  u[i * ld + k] = c;
+}
+
+/// Apply the updates of pivot rows [p0, p1) to the upper triangle of rows
+/// [p1, n) in 4x4 tiles, entry by entry on the last n mod 4 columns and
+/// rows.
+void update_trailing(Matrix& m, std::size_t p0, std::size_t p1) {
+  const std::size_t n = m.rows();
+  double* u = &m(0, 0);
+  std::size_t i = p1;
+  for (; i + 4 <= n; i += 4) {
+    update_tile<true>(u, n, p0, p1, i, i);
+    std::size_t k = i + 4;
+    for (; k + 4 <= n; k += 4) update_tile<false>(u, n, p0, p1, i, k);
+    for (; k < n; ++k)
+      for (std::size_t r = 0; r < 4; ++r) update_entry(u, n, p0, p1, i + r, k);
+  }
+  for (; i < n; ++i)
+    for (std::size_t k = i; k < n; ++k) update_entry(u, n, p0, p1, i, k);
+}
+
+}  // namespace
+
+bool cholesky_in_place(Matrix& m) {
+  if (!m.is_square())
+    throw std::invalid_argument("Matrix: cholesky requires square");
+  const std::size_t n = m.rows();
+  if (n < 2 * kPanel) return factor_panel(m, 0, n);
+  // Right-looking by panels.  Each entry (i, k), k >= i, still takes
+  // u_ik -= u_ji u_jk once per pivot j < i in increasing j, each product
+  // subtracted on its own, so the factor is the row loop's bit for bit.
+  for (std::size_t p0 = 0; p0 < n; p0 += kPanel) {
+    const std::size_t p1 = std::min(p0 + kPanel, n);
+    if (!factor_panel(m, p0, p1)) return false;
+    update_trailing(m, p0, p1);
   }
   return true;
 }

@@ -86,9 +86,16 @@ class Matrix {
 // --- the dense SPD kernel ------------------------------------------------
 
 /// Factor the SPD matrix held in the upper triangle of `m` in place as
-/// M = U^T U (row-oriented, right-looking; the strict lower triangle is not
-/// touched).  False when a pivot is not positive and finite (NaN and ±Inf
-/// never factor); throws std::invalid_argument when `m` is not square.
+/// M = U^T U (row-oriented, right-looking; the strict lower triangle is
+/// neither read nor written).  Blocked: a panel of 16 pivot rows is factored
+/// by the plain row loop, then the rows below it are updated in 4x4 register
+/// tiles.  The bits are the row loop's alone: every entry (i, k), k >= i,
+/// still takes u_ik -= u_ji u_jk once per pivot j < i, in increasing j, each
+/// product subtracted on its own.  A matrix smaller than two panels (the
+/// line search's blocks) is one panel, the row loop alone.  False when a
+/// pivot is not positive and finite (NaN and ±Inf never factor), and `m` is
+/// then left part-factored; throws std::invalid_argument when `m` is not
+/// square.
 [[nodiscard]] bool cholesky_in_place(Matrix& m);
 /// Solve U^T y = b in place, U from cholesky_in_place.
 void solve_upper_transposed(const Matrix& u, Vector& b);

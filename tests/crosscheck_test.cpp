@@ -132,8 +132,9 @@ TEST_P(CrossCheck, MinorsSignsMatchEigenvalueSigns) {
     for (const auto& m : minors) all_pos &= m.sign() > 0;
     auto eig = numeric::symmetric_eigen(d);
     const bool numerically_pd = eig.values.front() > 1e-9;
-    if (std::abs(eig.values.front()) > 1e-7)  // avoid borderline flips
+    if (std::abs(eig.values.front()) > 1e-7) {  // avoid borderline flips
       EXPECT_EQ(all_pos, numerically_pd) << "iter " << iter;
+    }
   }
 }
 

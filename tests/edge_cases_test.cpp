@@ -119,7 +119,7 @@ TEST(ModelEdge, ModeOfThrowsOutsideAllRegions) {
   m.region.push_back(model::HalfSpace{Vector{1.0}, -5.0, false});  // w >= 5
   model::PwaSystem sys{{m}, 1, 0, 1};
   EXPECT_EQ(sys.mode_of(Vector{6.0}), 0u);
-  EXPECT_THROW(sys.mode_of(Vector{0.0}), std::runtime_error);
+  EXPECT_THROW((void)sys.mode_of(Vector{0.0}), std::runtime_error);
 }
 
 TEST(ModelEdge, PwaSystemRejectsEmptyAndMismatched) {

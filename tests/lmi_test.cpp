@@ -528,7 +528,39 @@ const FamilyGolden kFamilyGoldens[] = {
   {"size10/1/LMIa+/fast-ipm", {0x86e9bd1e90ee89f1ull, 0x3f5a3d12bec0818full, 26}},
 };
 
-TEST(BarrierGolden, FamilyLyapunovSolvesAreBitIdentical) {
+// size15 and size18, whose Newton systems (172 and 232 unknowns) are the
+// ones large enough for the blocked SPD factor's trailing-tile update.
+const FamilyGolden kLargeFamilyGoldens[] = {
+  {"size15/0/LMI/newton-ac", {0x3b64cfe15abeb4feull, 0x3f62cec3f13de2a8ull, 33}},
+  {"size15/0/LMI/fast-ipm", {0xcd5b0e1f8c0b3667ull, 0x3f6527e09f0ec33dull, 29}},
+  {"size15/0/LMIa/newton-ac", {0xcd9873246471a7edull, 0x3f649734a5ee43f6ull, 34}},
+  {"size15/0/LMIa/fast-ipm", {0x93116fd4d08f4f60ull, 0x3f64d69d3ce7f827ull, 27}},
+  {"size15/0/LMIa+/newton-ac", {0x3e7a043c86acf864ull, 0x3f58fa0f6a3d813full, 34}},
+  {"size15/0/LMIa+/fast-ipm", {0xf51df0ebd024f2dcull, 0x3f5979bf13e20340ull, 27}},
+  {"size15/1/LMI/newton-ac", {0x2855211be141ba6aull, 0x3f64e468b01d7c75ull, 33}},
+  {"size15/1/LMI/fast-ipm", {0xbe7afdd8aafa7c23ull, 0x3f6754c73a508bf7ull, 28}},
+  {"size15/1/LMIa/newton-ac", {0xebf60d0ca356ffebull, 0x3f6342de7517856cull, 33}},
+  {"size15/1/LMIa/fast-ipm", {0x411704e6ab2d7cadull, 0x3f658f6b4ecb5907ull, 28}},
+  {"size15/1/LMIa+/newton-ac", {0x1e9b9bd9e52c13aeull, 0x3f5f64e626836e28ull, 34}},
+  {"size15/1/LMIa+/fast-ipm", {0x9609923d581560cdull, 0x3f5add377188cd2cull, 28}},
+  {"size18/0/LMI/newton-ac", {0xd17f0322f8de851eull, 0x3f53ebc909e45a31ull, 41}},
+  {"size18/0/LMI/fast-ipm", {0xcce4abcc66b73257ull, 0x3f5336440b9a916cull, 30}},
+  {"size18/0/LMIa/newton-ac", {0x650a8620fbeb99b1ull, 0x3f53a561febad997ull, 48}},
+  {"size18/0/LMIa/fast-ipm", {0x1fafc088fe9c34bcull, 0x3f531a45f44b049full, 30}},
+  {"size18/0/LMIa+/newton-ac", {0xef4be53af68b5a1cull, 0x3f32a8ceebefd122ull, 48}},
+  {"size18/0/LMIa+/fast-ipm", {0xc955b17e8520125aull, 0x3f3a2fe282a3d39full, 32}},
+  {"size18/1/LMI/newton-ac", {0xe56dc1740c076931ull, 0x3f53f19873675cb4ull, 43}},
+  {"size18/1/LMI/fast-ipm", {0xd85de6f9c0d422fcull, 0x3f5342a8ae5343d4ull, 30}},
+  {"size18/1/LMIa/newton-ac", {0x1f3c16c3d7f03073ull, 0x3f53dc2356d69653ull, 43}},
+  {"size18/1/LMIa/fast-ipm", {0xf3e0db124596aeb2ull, 0x3f5330ce5d995747ull, 30}},
+  {"size18/1/LMIa+/newton-ac", {0x00ce80533ceff799ull, 0x3f3394eb0b01bb94ull, 44}},
+  {"size18/1/LMIa+/fast-ipm", {0x9bb36d7e6d63177dull, 0x3f3394cd61858c2cull, 31}},
+};
+
+/// Solve every plant of the family that `take` accepts, in both modes,
+/// under LMI/LMIa/LMIa+ and both Newton backends, against `goldens` in order.
+template <std::size_t N, typename Take>
+void expect_family_goldens(const FamilyGolden (&goldens)[N], Take take) {
   const lyap::SynthesisOptions defaults;
   const struct {
     const char* name;
@@ -542,7 +574,7 @@ TEST(BarrierGolden, FamilyLyapunovSolvesAreBitIdentical) {
                                   model::engine_gains_mode1()};
   std::size_t next = 0;
   for (const auto& bm : model::benchmark_family()) {
-    if (bm.size > 10 || bm.name == "size10i") continue;
+    if (!take(bm)) continue;
     for (std::size_t mode = 0; mode < 2; ++mode) {
       const Matrix a = model::close_loop_single_mode(bm.plant, gains[mode]).a;
       for (const auto& method : methods) {
@@ -552,16 +584,27 @@ TEST(BarrierGolden, FamilyLyapunovSolvesAreBitIdentical) {
           const std::string name = bm.name + "/" + std::to_string(mode) +
                                    "/" + method.name + "/" + to_string(b);
           const Fingerprint got = fingerprint(solve_lmi(problem, b));
-          ASSERT_LT(next, std::size(kFamilyGoldens)) << name;
-          EXPECT_EQ(kFamilyGoldens[next].name, name);
-          EXPECT_EQ(got, kFamilyGoldens[next].fp)
+          ASSERT_LT(next, N) << "  {\"" << name << "\", " << got << "},";
+          EXPECT_EQ(goldens[next].name, name);
+          EXPECT_EQ(got, goldens[next].fp)
               << "  {\"" << name << "\", " << got << "},";
           ++next;
         }
       }
     }
   }
-  EXPECT_EQ(next, std::size(kFamilyGoldens));
+  EXPECT_EQ(next, N);
+}
+
+TEST(BarrierGolden, FamilyLyapunovSolvesAreBitIdentical) {
+  expect_family_goldens(kFamilyGoldens, [](const auto& bm) {
+    return bm.size <= 10 && bm.name != "size10i";
+  });
+}
+
+TEST(BarrierGolden, LargeFamilyLyapunovSolvesAreBitIdentical) {
+  expect_family_goldens(kLargeFamilyGoldens,
+                        [](const auto& bm) { return bm.size > 10; });
 }
 
 TEST(BarrierGolden, ShortStepSolveIsBitIdentical) {

@@ -68,7 +68,9 @@ TEST(ModularPrime, DeterministicDescendingOddSequence) {
   for (std::size_t i = 0; i < 8; ++i) {
     const std::uint64_t p = modular_prime(i);
     EXPECT_EQ(p & 1u, 1u);
-    if (i > 0) EXPECT_LT(p, modular_prime(i - 1));
+    if (i > 0) {
+      EXPECT_LT(p, modular_prime(i - 1));
+    }
     // Spot-check primality against small factors.
     for (std::uint64_t d : {3ull, 5ull, 7ull, 11ull, 13ull, 101ull})
       EXPECT_NE(p % d, 0u) << "prime " << i;

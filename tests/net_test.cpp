@@ -228,8 +228,9 @@ TEST_F(NetTest, AdmissionControlShedsWithBusyInsteadOfBlocking) {
   EXPECT_GE(busy, 4u);
   EXPECT_GE(results, 2u);
   for (const auto& line : lines) {
-    if (line.rfind("busy", 0) == 0)
+    if (line.rfind("busy", 0) == 0) {
       EXPECT_NE(line.find(" inflight="), std::string::npos) << line;
+    }
   }
 }
 

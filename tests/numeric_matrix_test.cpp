@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <random>
+#include <vector>
 
 namespace spiv::numeric {
 namespace {
@@ -178,6 +181,100 @@ TEST(NumericSpdKernel, SolveMatchesTheTrueSolution) {
   }
 }
 
+/// The row-oriented loop the blocked kernel replaced, verbatim: the
+/// reference every entry of the blocked factor must equal bit for bit.
+bool row_loop_factor(Matrix& m) {
+  const std::size_t n = m.rows();
+  for (std::size_t j = 0; j < n; ++j) {
+    double* uj = &m(j, 0);
+    if (!(uj[j] > 0.0) || std::isinf(uj[j])) return false;
+    uj[j] = std::sqrt(uj[j]);
+    const double inv = 1.0 / uj[j];
+    for (std::size_t k = j + 1; k < n; ++k) uj[k] *= inv;
+    for (std::size_t i = j + 1; i < n; ++i) {
+      const double f = uj[i];
+      double* ui = &m(i, 0);
+      std::size_t k = i;
+      for (; k + 4 <= n; k += 4) {
+        ui[k] -= f * uj[k];
+        ui[k + 1] -= f * uj[k + 1];
+        ui[k + 2] -= f * uj[k + 2];
+        ui[k + 3] -= f * uj[k + 3];
+      }
+      for (; k < n; ++k) ui[k] -= f * uj[k];
+    }
+  }
+  return true;
+}
+
+/// `a` with a finite decoy in every strict-lower entry, which the factor
+/// must leave as it is.
+Matrix with_lower_decoys(Matrix a) {
+  for (std::size_t i = 1; i < a.rows(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      a(i, j) = -1.0 - static_cast<double>(i * a.cols() + j);
+  return a;
+}
+
+TEST(NumericSpdKernel, BlockedFactorIsTheRowLoopBitForBit) {
+  // 1..72 covers every residue mod 4 around one panel (15, 16, 17) and two
+  // (31, 32, 33); 92/172/232 are the size-10/15/18 Newton systems.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 1; n <= 72; ++n) sizes.push_back(n);
+  for (std::size_t n : {92, 172, 232}) sizes.push_back(n);
+  std::mt19937_64 rng{29};
+  for (std::size_t n : sizes) {
+    const Matrix a = with_lower_decoys(random_spd(rng, n));
+    Matrix want = a;
+    ASSERT_TRUE(row_loop_factor(want)) << n;
+    Matrix got = a;
+    ASSERT_TRUE(cholesky_in_place(got)) << n;
+    std::size_t differ = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        if (std::bit_cast<std::uint64_t>(got(i, j)) !=
+            std::bit_cast<std::uint64_t>(want(i, j)))
+          ++differ;
+    EXPECT_EQ(differ, 0u) << n;
+    for (std::size_t i = 1; i < n; ++i)
+      for (std::size_t j = 0; j < i; ++j)
+        ASSERT_EQ(got(i, j), a(i, j)) << n << ": (" << i << "," << j << ")";
+  }
+}
+
+TEST(NumericSpdKernel, BlockedFactorRefusesPastTheFirstPanels) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::mt19937_64 rng{30};
+  const std::size_t n = 64;
+  const Matrix spd = random_spd(rng, n);
+  // SPD in its leading 40x40, indefinite after: pivot 50 goes negative.
+  Matrix indefinite = spd;
+  indefinite(50, 50) = -indefinite(50, 50);
+  // A non-finite upper entry inside a 4x4 tile of the first panels'
+  // trailing update; it poisons pivot 50 through row 40.
+  std::vector<Matrix> bad{indefinite};
+  for (double x : {nan, inf, -inf}) {
+    Matrix m = spd;
+    m(40, 50) = x;
+    bad.push_back(m);
+  }
+  for (const Matrix& m : bad) {
+    Matrix ref = m;
+    EXPECT_FALSE(row_loop_factor(ref));
+    Matrix u = m;
+    EXPECT_FALSE(cholesky_in_place(u));
+    Matrix h = m;
+    const Vector before(n, 1.5);
+    Vector b = before;
+    EXPECT_FALSE(cholesky_solve(h, b));
+    EXPECT_EQ(b, before);
+  }
+  // The leading 40x40 alone factors.
+  Matrix lead = spd.block(0, 0, 40, 40);
+  EXPECT_TRUE(cholesky_in_place(lead));
+}
+
 TEST(NumericQr, ReconstructionAndOrthogonality) {
   std::mt19937_64 rng{3};
   for (auto [m, n] : {std::pair<std::size_t, std::size_t>{6, 6}, {8, 4}}) {
@@ -246,7 +343,7 @@ TEST(NumericVectors, Helpers) {
   EXPECT_DOUBLE_EQ(d[0], 3.0);
   Vector sc = 2.0 * a;
   EXPECT_DOUBLE_EQ(sc[1], 4.0);
-  EXPECT_THROW(dot(a, Vector{1}), std::invalid_argument);
+  EXPECT_THROW((void)dot(a, Vector{1}), std::invalid_argument);
 }
 
 }  // namespace

@@ -177,7 +177,9 @@ TEST(ForEachBlock, PartitionsTheRangeExactlyOnce) {
       for (std::size_t i = 0; i < n; ++i)
         EXPECT_EQ(hits[i], 1) << "jobs=" << jobs << " n=" << n << " i=" << i;
       EXPECT_LE(blocks.load(), jobs) << "jobs=" << jobs << " n=" << n;
-      if (n > 0) EXPECT_GE(blocks.load(), 1u);
+      if (n > 0) {
+        EXPECT_GE(blocks.load(), 1u);
+      }
     }
   }
 }

@@ -138,12 +138,15 @@ TEST_P(RationalFieldLaws, RandomizedAgainstDoubles) {
     EXPECT_EQ((a + b) + c, a + (b + c));
     EXPECT_EQ(a * (b + c), a * b + a * c);
     EXPECT_EQ(a + (-a), Rational{});
-    if (!a.is_zero()) EXPECT_EQ(a * a.reciprocal(), Rational{1});
+    if (!a.is_zero()) {
+      EXPECT_EQ(a * a.reciprocal(), Rational{1});
+    }
     // Consistency with floating point to within rounding.
     EXPECT_NEAR((a * b).to_double(), a.to_double() * b.to_double(), 1e-6);
     // Ordering is total and consistent with doubles when far apart.
-    if (std::abs(a.to_double() - b.to_double()) > 1e-9)
+    if (std::abs(a.to_double() - b.to_double()) > 1e-9) {
       EXPECT_EQ(a < b, a.to_double() < b.to_double());
+    }
   }
 }
 

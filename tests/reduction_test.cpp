@@ -71,8 +71,9 @@ TEST(BalancedTruncation, RejectsBadArguments) {
   EXPECT_THROW(balanced_truncation(engine, 19), std::invalid_argument);
   StateSpace unstable = engine;
   unstable.a(0, 0) = 10.0;  // destabilize
-  if (!unstable.is_stable())
+  if (!unstable.is_stable()) {
     EXPECT_THROW(balanced_truncation(unstable, 3), std::runtime_error);
+  }
 }
 
 TEST(RoundToIntegers, RoundsEveryEntry) {

@@ -122,7 +122,7 @@ TEST(RobustRegion, RejectsIndefiniteCandidate) {
   Vector r;
   model::PwaSystem sys = make_toy_system(&r);
   Matrix bad{{1, 5}, {5, 1}};  // indefinite
-  EXPECT_THROW(synthesize_region(sys, 0, bad, r), std::runtime_error);
+  EXPECT_THROW((void)synthesize_region(sys, 0, bad, r), std::runtime_error);
 }
 
 TEST(RobustRegion, HonorsDeadline) {
@@ -132,7 +132,8 @@ TEST(RobustRegion, HonorsDeadline) {
   ASSERT_TRUE(cand.has_value());
   RegionOptions options;
   options.deadline = Deadline::after_seconds(-1.0);
-  EXPECT_THROW(synthesize_region(sys, 0, cand->p, r, options), TimeoutError);
+  EXPECT_THROW((void)synthesize_region(sys, 0, cand->p, r, options),
+               TimeoutError);
 }
 
 TEST(RobustRegion, StateRobustnessRadiusIsBallInsideW) {

@@ -86,16 +86,18 @@ void expect_records_equal(const CertRecord& a, const CertRecord& b) {
   EXPECT_EQ(a.candidate.p.data(), b.candidate.p.data());  // bit-exact doubles
   EXPECT_EQ(a.candidate.synth_seconds, b.candidate.synth_seconds);
   ASSERT_EQ(a.candidate.exact_p.has_value(), b.candidate.exact_p.has_value());
-  if (a.candidate.exact_p)
+  if (a.candidate.exact_p) {
     EXPECT_EQ(*a.candidate.exact_p, *b.candidate.exact_p);  // exact rationals
+  }
   EXPECT_EQ(a.validation.positivity.outcome, b.validation.positivity.outcome);
   EXPECT_EQ(a.validation.positivity.seconds, b.validation.positivity.seconds);
   EXPECT_EQ(a.validation.decrease.outcome, b.validation.decrease.outcome);
   EXPECT_EQ(a.validation.decrease.seconds, b.validation.decrease.seconds);
   ASSERT_EQ(a.validation.decrease.witness.has_value(),
             b.validation.decrease.witness.has_value());
-  if (a.validation.decrease.witness)
+  if (a.validation.decrease.witness) {
     EXPECT_EQ(*a.validation.decrease.witness, *b.validation.decrease.witness);
+  }
 }
 
 // ---------------------------------------------------------------- keys
